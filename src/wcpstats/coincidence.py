@@ -5,7 +5,7 @@ arrived, so the analysis works on per-pulse click patterns.  This module
 turns raw data (patterns or time-tagger records) into subset coincidence
 probabilities c_W (all detectors in a subset W click, regardless of the
 rest) and their order averages c_r, and evaluates the matching theoretical
-model for Poisson pulses.
+model for Poisson pulses in product form.
 
 Conventions
 -----------
@@ -64,6 +64,14 @@ def coincidence_weight(r: int, j: int) -> float:
     return comb(N_DETECTORS - j, r - j) / comb(N_DETECTORS, r)
 
 
+def _order_average(subset_probs: Mapping[frozenset[int], float], r: int):
+    """c_r: the mean of c_W over the C(4, r) subsets W of size r.
+
+    Works elementwise when the subset probabilities are arrays.
+    """
+    return sum(subset_probs[w] for w in subsets_of_order(r)) / comb(N_DETECTORS, r)
+
+
 @dataclass(frozen=True)
 class DetectionPattern:
     """Click flags of one pulse, one boolean per detector."""
@@ -113,10 +121,6 @@ class PatternHistogram:
             counts=tuple(a + b for a, b in zip(self.counts, other.counts)),
             total_pulses=self.total_pulses + other.total_pulses,
         )
-
-    def merge(self, other: "PatternHistogram") -> "PatternHistogram":
-        """Combine histograms from disjoint pulse ranges."""
-        return self + other
 
     def to_dict(self) -> dict:
         return {"total_pulses": self.total_pulses, "counts": list(self.counts)}
@@ -179,9 +183,7 @@ class CoincidenceSummary:
                         f"monotonicity violated: c_{sorted(w)} > c_{sorted(v)}"
                     )
         for r in ORDERS:
-            mean = math.fsum(self.subset_probs[w] for w in subsets_of_order(r)) / comb(
-                N_DETECTORS, r
-            )
+            mean = _order_average(self.subset_probs, r)
             if abs(mean - self.order_probs[r - 1]) > _CONSISTENCY_TOL:
                 raise ValueError(f"order_probs[{r - 1}] inconsistent with subset averages")
         for r in (2, 3, 4):
@@ -227,10 +229,7 @@ def observed_coincidences(hist: PatternHistogram) -> CoincidenceSummary:
             mask = subset_mask(w)
             hits = sum(hist.counts[p] for p in range(N_PATTERNS) if p & mask == mask)
             subset_probs[w] = hits / total
-    order_probs = tuple(
-        math.fsum(subset_probs[w] for w in subsets_of_order(r)) / comb(N_DETECTORS, r)
-        for r in ORDERS
-    )
+    order_probs = tuple(_order_average(subset_probs, r) for r in ORDERS)
     return CoincidenceSummary(subset_probs=subset_probs, order_probs=order_probs, total_pulses=total)
 
 
@@ -299,40 +298,45 @@ def conditional_coincidence(n: int, r: int, eta: Sequence[float]) -> float:
     return total
 
 
-def poisson_coincidence_model(mu: float, eta: Sequence[float]) -> tuple[float, float, float, float]:
-    """Expected order-averaged coincidences c_1..c_4 for a Poisson source.
-
-    Closed form of the photon-number average: summing the per-n subset
-    expansion against Poisson weights collapses each subset term to
-    exp(-mu * sum_{i in W} eta_i).
-    """
-    eta = validate_efficiencies(eta)
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise ValueError(f"mean photon number must be >= 0, got {mu!r}")
-    out = []
-    for r in ORDERS:
-        acc = 0.0
-        for j in range(r + 1):
-            inner = math.fsum(
-                math.exp(-mu * math.fsum(eta[i - 1] for i in w)) for w in subsets_of_order(j)
-            )
-            acc += (-1) ** j * coincidence_weight(r, j) * inner
-        out.append(acc)
-    return tuple(out)
-
-
-def model_subset_probability(mu: float, eta: Sequence[float], subset: Iterable[int]) -> float:
-    """Exact probability that every detector in ``subset`` clicks.
+def _model_subset_probabilities(mu, eta: Sequence[float]) -> dict[frozenset[int], object]:
+    """Probability that every detector in W clicks, for every nonempty W.
 
     Poisson pulses split over passive arms give independent per-detector
     photon streams, so the joint click probability is the product of the
-    marginals 1 - exp(-mu * eta_i).
+    marginals 1 - exp(-mu * eta_i).  ``mu`` may be a float or an array;
+    each value has the shape of ``mu``.
     """
     eta = validate_efficiencies(eta)
+    mu = np.asarray(mu, dtype=np.float64)
+    if not np.all(np.isfinite(mu) & (mu >= 0.0)):
+        raise ValueError(f"mean photon number must be finite and >= 0, got {mu!r}")
+    marginals = -np.expm1(-np.multiply.outer(eta, mu))
+    return {
+        w: math.prod(marginals[i - 1] for i in sorted(w))
+        for r in ORDERS
+        for w in subsets_of_order(r)
+    }
+
+
+def poisson_coincidence_model(mu, eta: Sequence[float]):
+    """Expected order-averaged coincidences c_1..c_4 for a Poisson source.
+
+    A float ``mu`` gives a tuple (c_1, c_2, c_3, c_4); an array of mu gives
+    an array with one such row per value.
+    """
+    subset_probs = _model_subset_probabilities(mu, eta)
+    orders = np.stack([_order_average(subset_probs, r) for r in ORDERS], axis=-1)
+    if orders.ndim == 1:
+        return tuple(float(c) for c in orders)
+    return orders
+
+
+def model_subset_probability(mu: float, eta: Sequence[float], subset: Iterable[int]) -> float:
+    """Exact probability that every detector in ``subset`` clicks."""
     w = frozenset(subset)
     if not w or not w <= set(DETECTORS):
         raise ValueError(f"subset must be a nonempty subset of {DETECTORS}, got {sorted(w)}")
-    return math.prod(-math.expm1(-mu * eta[i - 1]) for i in sorted(w))
+    return float(_model_subset_probabilities(mu, eta)[w])
 
 
 def model_summary(mu: float, eta: Sequence[float], total_pulses: int) -> CoincidenceSummary:
@@ -341,14 +345,8 @@ def model_summary(mu: float, eta: Sequence[float], total_pulses: int) -> Coincid
     ``total_pulses`` only sizes the variance estimates of downstream
     consumers; the stored probabilities are exact model values.
     """
-    eta = validate_efficiencies(eta)
-    subset_probs = {
-        w: model_subset_probability(mu, eta, w) for r in ORDERS for w in subsets_of_order(r)
-    }
-    order_probs = tuple(
-        math.fsum(subset_probs[w] for w in subsets_of_order(r)) / comb(N_DETECTORS, r)
-        for r in ORDERS
-    )
+    subset_probs = {w: float(p) for w, p in _model_subset_probabilities(mu, eta).items()}
+    order_probs = tuple(_order_average(subset_probs, r) for r in ORDERS)
     return CoincidenceSummary(
         subset_probs=subset_probs, order_probs=order_probs, total_pulses=total_pulses
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtri
 
 from .coincidence import ORDERS, CoincidenceSummary, observed_coincidences, poisson_coincidence_model
 from .fileio import write_text_atomic
@@ -87,16 +87,6 @@ def intensity_from_counts(counts, n_pulses: int, eta_overall: float):
     return np.asarray(counts, dtype=np.float64) / (n_pulses * eta_overall)
 
 
-def _weighted_objective(c_obs, weights, eta, orders):
-    def objective(mu: float) -> float:
-        model = poisson_coincidence_model(mu, eta)
-        return math.fsum(
-            w * (c - model[r - 1]) ** 2 for w, c, r in zip(weights, c_obs, orders)
-        )
-
-    return objective
-
-
 def estimate_mu_rigorous(
     summary: CoincidenceSummary,
     eta: Sequence[float],
@@ -116,19 +106,22 @@ def estimate_mu_rigorous(
     eta = validate_efficiencies(eta)
     if not orders or any(r not in ORDERS for r in orders):
         raise ValueError(f"orders must be a nonempty subset of {ORDERS}, got {orders!r}")
-    c_obs = [summary.order_probability(r) for r in orders]
-    if all(c == 0.0 for c in c_obs):
+    c_obs = np.array([summary.order_probability(r) for r in orders])
+    if not np.any(c_obs):
         raise InsufficientDataError(
             "insufficient data: no clicks in any coincidence order"
         )
     n = summary.total_pulses
-    floor = 1.0 / (n * n)
-    weights = [1.0 / max(c * (1.0 - c) / n, floor) for c in c_obs]
-    objective = _weighted_objective(c_obs, weights, eta, orders)
+    weights = 1.0 / np.maximum(c_obs * (1.0 - c_obs) / n, 1.0 / (n * n))
+    columns = [r - 1 for r in orders]
+
+    def objective(mu):
+        """Weighted squared misfit, elementwise over an array of mu."""
+        model = np.asarray(poisson_coincidence_model(mu, eta))[..., columns]
+        return np.sum(weights * (c_obs - model) ** 2, axis=-1)
 
     grid = np.geomspace(1e-6, mu_max, 256)
-    values = [objective(m) for m in grid]
-    best = int(np.argmin(values))
+    best = int(np.argmin(objective(grid)))
     lo = float(grid[max(best - 1, 0)])
     hi = float(grid[min(best + 1, len(grid) - 1)])
 
@@ -207,7 +200,7 @@ def poissonity_test(
         )
     statistic = math.fsum(terms)
     dof = len(used) - 1
-    threshold = float(chi2.ppf(percentile, dof))
+    threshold = float(chdtri(dof, 1.0 - percentile))
     return PoissonityResult(
         statistic=statistic,
         dof=dof,

@@ -11,7 +11,8 @@ only for identical distributions.
 Count distributions are modeled as Gaussians truncated at zero: the
 density is kept un-renormalized on the positive axis and the mass at or
 below zero is reported separately as the probability of no detection.
-Overlap integrals run over the positive axis only.
+Overlap integrals run over the positive axis only and are evaluated in
+closed form.
 """
 
 from __future__ import annotations
@@ -22,18 +23,10 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
 from .fileio import write_json_atomic
-
-MIN_GRID_POINTS = 2048
-_SPAN_SIGMAS = 6.0
-
-
-def _check_mu(mu: float) -> float:
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise ValueError(f"mean photon number must be >= 0, got {mu!r}")
-    return mu
+from .stats import _check_mu
 
 
 def info_leakage(mu: float) -> float:
@@ -130,112 +123,63 @@ def fit_fluctuation(series_per_mu: Mapping[float, Sequence[float]]) -> Fluctuati
     )
 
 
-def _normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 @dataclass(frozen=True)
 class SourceDistribution:
     """Zero-truncated Gaussian count distribution of one source.
 
-    ``density`` is the untruncated normal pdf sampled on ``grid`` (which
-    starts at zero), and ``truncated_mass`` is the probability weight at or
-    below zero; together they account for all the probability.
+    The density is the normal pdf N(x; mean, sigma) on the positive axis,
+    and ``truncated_mass`` is the probability weight at or below zero;
+    together they account for all the probability.
     """
 
-    grid: np.ndarray
-    density: np.ndarray
     mean: float
     sigma: float
-    truncated_mass: float
-
-    _NORMALIZATION_TOL = 1e-9
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=np.float64)
-        density = np.asarray(self.density, dtype=np.float64)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "density", density)
-        if grid.ndim != 1 or grid.size < 2 or grid.shape != density.shape:
-            raise ValueError("grid and density must be matching 1-D arrays")
-        if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must start at 0 and increase strictly")
-        if np.any(density < 0):
-            raise ValueError("density must be non-negative")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be > 0, got {self.sigma!r}")
-        expected_mass = _normal_cdf(-self.mean / self.sigma)
-        if abs(self.truncated_mass - expected_mass) > 1e-12:
-            raise ValueError("truncated_mass inconsistent with mean and sigma")
-        on_grid = (
-            _normal_cdf((grid[-1] - self.mean) / self.sigma)
-            - _normal_cdf((grid[0] - self.mean) / self.sigma)
-        )
-        if abs(on_grid + self.truncated_mass - 1.0) > self._NORMALIZATION_TOL:
-            raise ValueError("grid span too short: density plus truncated mass must reach 1")
+        if not (math.isfinite(self.mean) and self.mean >= 0.0):
+            raise ValueError(f"mean must be >= 0, got {self.mean!r}")
 
-    def density_on(self, x: np.ndarray) -> np.ndarray:
-        """Exact pdf values on an arbitrary positive grid (no interpolation)."""
-        x = np.asarray(x, dtype=np.float64)
-        z = (x - self.mean) / self.sigma
-        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+    @property
+    def truncated_mass(self) -> float:
+        return float(ndtr(-self.mean / self.sigma))
 
 
-def gaussian_distribution(
-    mean: float, sigma: float, grid_points: int = MIN_GRID_POINTS
-) -> SourceDistribution:
-    """Truncated Gaussian on a uniform grid spanning [0, mean + 6 sigma]."""
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    if not (math.isfinite(mean) and mean >= 0.0):
-        raise ValueError(f"mean must be >= 0, got {mean!r}")
-    if grid_points < MIN_GRID_POINTS:
-        raise ValueError(f"grid_points must be >= {MIN_GRID_POINTS}, got {grid_points}")
-    grid = np.linspace(0.0, mean + _SPAN_SIGMAS * sigma, grid_points)
-    z = (grid - mean) / sigma
-    density = np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
-    return SourceDistribution(
-        grid=grid,
-        density=density,
-        mean=float(mean),
-        sigma=float(sigma),
-        truncated_mass=_normal_cdf(-mean / sigma),
-    )
+def gaussian_distribution(mean: float, sigma: float) -> SourceDistribution:
+    """Gaussian count distribution truncated at zero."""
+    return SourceDistribution(mean=float(mean), sigma=float(sigma))
 
 
-def source_distribution_at(
-    fit: FluctuationFit, mu: float, grid_points: int = MIN_GRID_POINTS
-) -> SourceDistribution:
+def source_distribution_at(fit: FluctuationFit, mu: float) -> SourceDistribution:
     """Count distribution the fitted fluctuation model predicts at ``mu``."""
-    sigma = fit.sigma(mu)
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"fitted sigma at mu={mu} is not positive: {sigma!r}")
-    return gaussian_distribution(mu, sigma, grid_points=grid_points)
+    return gaussian_distribution(mu, fit.sigma(mu))
+
+
+def _positive_overlap(d_i: SourceDistribution, d_j: SourceDistribution) -> float:
+    """Integral of N(x; m_i, s_i) N(x; m_j, s_j) over x > 0, in closed form.
+
+    The product of two normal pdfs is phi(m_i - m_j; s_i^2 + s_j^2) times a
+    normal pdf of mean m_c and spread s_c, whose mass above zero is
+    Phi(m_c / s_c).
+    """
+    variance = d_i.sigma**2 + d_j.sigma**2
+    mean_c = (d_i.mean * d_j.sigma**2 + d_j.mean * d_i.sigma**2) / variance
+    sigma_c = d_i.sigma * d_j.sigma / math.sqrt(variance)
+    gap = d_i.mean - d_j.mean
+    peak = math.exp(-0.5 * gap * gap / variance) / math.sqrt(2.0 * math.pi * variance)
+    return peak * float(ndtr(mean_c / sigma_c))
 
 
 def cross_correlation(d_i: SourceDistribution, d_j: SourceDistribution) -> float:
     """Normalized overlap R of two count distributions on the positive axis.
 
-    R = integral(f_i f_j) / sqrt(integral(f_i^2) integral(f_j^2)), evaluated
-    by trapezoidal quadrature; distributions on different grids are
-    re-evaluated analytically on a shared grid first.  R = 1 exactly when
-    the distributions coincide.
+    R = integral(f_i f_j) / sqrt(integral(f_i^2) integral(f_j^2)), each
+    integral in closed form.  R = 1 exactly when the distributions
+    coincide.
     """
-    same_grid = d_i.grid.shape == d_j.grid.shape and np.array_equal(d_i.grid, d_j.grid)
-    if same_grid:
-        x = d_i.grid
-        fi, fj = d_i.density, d_j.density
-    else:
-        upper = max(d_i.grid[-1], d_j.grid[-1])
-        x = np.linspace(0.0, upper, max(d_i.grid.size, d_j.grid.size))
-        fi = d_i.density_on(x)
-        fj = d_j.density_on(x)
-    overlap = float(np.trapezoid(fi * fj, x))
-    norm_i = float(np.trapezoid(fi * fi, x))
-    norm_j = float(np.trapezoid(fj * fj, x))
-    if norm_i <= 0.0 or norm_j <= 0.0:
-        raise ValueError("zero-norm density; cannot normalize the overlap")
-    return overlap / math.sqrt(norm_i * norm_j)
+    norm = math.sqrt(_positive_overlap(d_i, d_i) * _positive_overlap(d_j, d_j))
+    return _positive_overlap(d_i, d_j) / norm
 
 
 def pairwise_leakage(correlation: float) -> float:
@@ -271,7 +215,7 @@ def report_for_pair(
     label_i: str, label_j: str, d_i: SourceDistribution, d_j: SourceDistribution
 ) -> LeakageReport:
     correlation = cross_correlation(d_i, d_j)
-    # Quadrature round-off can land a hair above 1 for identical inputs.
+    # Rounding can land a hair above 1 for near-identical inputs.
     correlation = min(correlation, 1.0)
     return LeakageReport(
         source_i=label_i,

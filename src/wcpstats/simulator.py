@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr
 
 from .coincidence import N_PATTERNS, PatternHistogram, TimestampRecord
 from .fileio import write_text_atomic
@@ -116,13 +117,8 @@ class SimConfig:
         return max(1, round(1e12 / self.rep_period_ps))
 
 
-def _truncation_mass(mean: float, sigma: float) -> float:
-    """Gaussian probability mass at or below zero."""
-    return 0.5 * math.erfc(mean / (sigma * math.sqrt(2.0)))
-
-
 def _check_truncation(mean: float, sigma: float) -> None:
-    if _truncation_mass(mean, sigma) > 0.5:
+    if ndtr(-mean / sigma) > 0.5:
         raise ValueError(
             f"fluctuation sigma {sigma} puts more than half the intensity "
             f"distribution below zero for mean {mean}; model misuse"

@@ -12,6 +12,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy.integrate import quad
 
 DETECTORS = (1, 2, 3, 4)
 
@@ -59,6 +60,71 @@ def coincidence_series(mu: float, r: int, eta, conditional, n_max: int = 80) -> 
     directly from the series terms.
     """
     return math.fsum(poisson_term(mu, n) * conditional(n, r, eta) for n in range(n_max + 1))
+
+
+def routing_pattern_table(eta, n_max: int, n_enumerated: int = 8) -> np.ndarray:
+    """P(click set | n photons) for n = 0..n_max; row n holds the 16 click sets.
+
+    Rows up to ``n_enumerated`` exhaust all 5^n photon routings.  Each later
+    row routes one more photon from the row before: it lands on detector i
+    with probability eta_i, setting bit i-1 of the click set, or is lost.
+    """
+    eta = [float(x) for x in eta]
+    outcome_probs = np.array(eta + [1.0 - sum(eta)])
+    outcome_bits = np.array([1, 2, 4, 8, 0])
+    table = np.zeros((n_max + 1, 16))
+    table[0, 0] = 1.0
+    for n in range(1, min(n_enumerated, n_max) + 1):
+        assignments = np.indices((5,) * n).reshape(n, -1)
+        weights = np.prod(outcome_probs[assignments], axis=0)
+        click_sets = np.bitwise_or.reduce(outcome_bits[assignments], axis=0)
+        table[n] = np.bincount(click_sets, weights=weights, minlength=16)
+    for n in range(n_enumerated + 1, n_max + 1):
+        for state in range(16):
+            for bits, p in zip(outcome_bits, outcome_probs):
+                table[n, state | bits] += table[n - 1, state] * p
+    return table
+
+
+def routing_order_table(eta, n_max: int = 40) -> np.ndarray:
+    """c_{n,r} from :func:`routing_pattern_table`; row n, column r-1."""
+    patterns = routing_pattern_table(eta, n_max)
+    out = np.zeros((n_max + 1, 4))
+    for r in (1, 2, 3, 4):
+        for w in combinations(DETECTORS, r):
+            mask = sum(1 << (d - 1) for d in w)
+            supersets = [s for s in range(16) if s & mask == mask]
+            out[:, r - 1] += patterns[:, supersets].sum(axis=1)
+        out[:, r - 1] /= comb(4, r)
+    return out
+
+
+def poisson_order_series(mu: float, order_table: np.ndarray) -> list[float]:
+    """Poisson average of the per-n coincidences c_{n,r}, for r = 1..4.
+
+    Every term is non-negative, so the sum keeps full relative precision
+    at small mu; the table's length sets the truncation.
+    """
+    weights = [poisson_term(mu, n) for n in range(len(order_table))]
+    return [math.fsum(w * c for w, c in zip(weights, order_table[:, r])) for r in range(4)]
+
+
+def truncated_overlap_quad(m1: float, s1: float, m2: float, s2: float) -> float:
+    """Normalized overlap R of two zero-truncated Gaussians by adaptive quadrature."""
+
+    def pdf(x, m, s):
+        return math.exp(-0.5 * ((x - m) / s) ** 2) / (s * math.sqrt(2.0 * math.pi))
+
+    upper = max(m1 + 40.0 * s1, m2 + 40.0 * s2)
+
+    def integral(ma, sa, mb, sb):
+        value, _ = quad(
+            lambda x: pdf(x, ma, sa) * pdf(x, mb, sb), 0.0, upper,
+            epsabs=0.0, epsrel=1e-13, limit=500,
+        )
+        return value
+
+    return integral(m1, s1, m2, s2) / math.sqrt(integral(m1, s1, m1, s1) * integral(m2, s2, m2, s2))
 
 
 def normal_cdf(x: float) -> float:

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +14,12 @@ from wcpstats.fileio import read_json
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats costs about a second of import time on every CLI call.
+    code = "import sys, wcpstats.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_simulate_then_analyze_pipeline(tmp_path, capsys):

@@ -27,7 +27,13 @@ from wcpstats.coincidence import (
     write_timestamps_csv,
 )
 
-from oracles import coincidence_series, routing_order_average
+from oracles import (
+    coincidence_series,
+    poisson_order_series,
+    routing_order_average,
+    routing_order_table,
+    routing_pattern_table,
+)
 
 TABLE_ETA = (0.1522014, 0.1432106, 0.13574145, 0.1342692)
 
@@ -61,7 +67,7 @@ def test_histogram_validation_and_merge():
         PatternHistogram(counts=(1,) * 16, total_pulses=15)
     a = _histogram({1: 3}, 10)
     b = _histogram({2: 4}, 12)
-    merged = a.merge(b)
+    merged = a + b
     assert merged.total_pulses == 22
     assert merged.counts[1] == 3 and merged.counts[2] == 4
 
@@ -180,6 +186,35 @@ def test_model_matches_truncated_series(mu):
         for r in (1, 2, 3, 4):
             series = coincidence_series(mu, r, eta, conditional_coincidence)
             assert model[r - 1] == pytest.approx(series, abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def table_eta_orders():
+    return routing_order_table(TABLE_ETA)
+
+
+def test_routing_table_recursion_matches_enumeration():
+    enumerated = routing_pattern_table(TABLE_ETA, 8)
+    recursed = routing_pattern_table(TABLE_ETA, 8, n_enumerated=1)
+    np.testing.assert_allclose(recursed, enumerated, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mu", [1e-4, 1e-3, 1e-2, 0.1, 0.5, 2.0])
+def test_model_matches_routing_series_to_relative_precision(mu, table_eta_orders):
+    # Vacuum and weak decoy states sit at small mu, where c_4 ~ mu^4: the
+    # model must hold its relative precision there, not just 1e-10 absolute.
+    expected = poisson_order_series(mu, table_eta_orders)
+    model = poisson_coincidence_model(mu, TABLE_ETA)
+    for r in (1, 2, 3, 4):
+        assert model[r - 1] == pytest.approx(expected[r - 1], rel=1e-12, abs=0.0)
+
+
+def test_model_array_rows_match_scalar_calls():
+    mus = np.array([0.0, 1e-4, 0.01, 0.5, 2.0, 10.0])
+    rows = poisson_coincidence_model(mus, TABLE_ETA)
+    assert rows.shape == (mus.size, 4)
+    for mu, row in zip(mus, rows):
+        assert tuple(row) == poisson_coincidence_model(float(mu), TABLE_ETA)
 
 
 def test_model_summary_consistent_with_closed_form():

@@ -236,8 +236,12 @@ def cmd_fluct(args) -> int:
     series_per_mu: dict[float, object] = {}
     if args.series:
         for spec in args.series:
-            mu_text, path = spec.split("=", 1)
-            series_per_mu[float(mu_text)] = read_count_series_csv(path)
+            try:
+                mu_text, path = spec.split("=", 1)
+                mu = float(mu_text)
+            except ValueError:
+                raise ValueError(f"bad series spec {spec!r}; expected MU=PATH") from None
+            series_per_mu[mu] = read_count_series_csv(path)
         meta = {"input": "series files"}
     else:
         if not args.mu_list:
@@ -321,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dark-rate", type=float, default=0.0)
     p.add_argument("--pulses", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--out-histogram", required=True)
     p.add_argument("--out-timestamps")
     p.set_defaults(func=cmd_simulate)

@@ -16,8 +16,8 @@ c_W counts every pulse whose click set contains W.
 
 from __future__ import annotations
 
-import csv
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fileio import read_json, write_json_atomic, write_text_atomic
+from .fileio import read_int_csv, read_json, write_json_atomic, write_text_atomic
 from .optics import N_DETECTORS, validate_efficiencies
 
 DETECTORS = tuple(range(1, N_DETECTORS + 1))
@@ -34,6 +34,9 @@ N_PATTERNS = 1 << N_DETECTORS
 ORDERS = (1, 2, 3, 4)
 
 _CONSISTENCY_TOL = 1e-12
+
+# _PATTERN_BITS[p, i] is set when pattern p has detector i + 1 clicking.
+_PATTERN_BITS = ((np.arange(N_PATTERNS)[:, None] >> np.arange(N_DETECTORS)) & 1).astype(bool)
 
 # Subsets of Z_4 grouped by cardinality; order 0 is the empty set.
 _SUBSETS_BY_ORDER: tuple[tuple[frozenset[int], ...], ...] = tuple(
@@ -46,22 +49,6 @@ def subsets_of_order(r: int) -> tuple[frozenset[int], ...]:
     if not 0 <= r <= N_DETECTORS:
         raise ValueError(f"subset order must be in 0..{N_DETECTORS}, got {r}")
     return _SUBSETS_BY_ORDER[r]
-
-
-def subset_mask(subset: Iterable[int]) -> int:
-    mask = 0
-    for detector in subset:
-        if detector not in DETECTORS:
-            raise ValueError(f"detector index out of range: {detector!r}")
-        mask |= 1 << (detector - 1)
-    return mask
-
-
-def coincidence_weight(r: int, j: int) -> float:
-    """Order-averaging weight C(4-j, r-j) / C(4, r) for the subset expansion."""
-    if not 1 <= r <= N_DETECTORS or not 0 <= j <= r:
-        raise ValueError(f"invalid weight indices r={r}, j={j}")
-    return comb(N_DETECTORS - j, r - j) / comb(N_DETECTORS, r)
 
 
 def _order_average(subset_probs: Mapping[frozenset[int], float], r: int):
@@ -106,9 +93,12 @@ class PatternHistogram:
     total_pulses: int
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "counts", tuple(operator.index(c) for c in self.counts))
+        except TypeError:
+            raise ValueError(f"need {N_PATTERNS} integer pattern counts, got {self.counts!r}") from None
         if len(self.counts) != N_PATTERNS:
             raise ValueError(f"need {N_PATTERNS} pattern counts, got {len(self.counts)}")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if any(c < 0 for c in self.counts):
             raise ValueError("pattern counts must be >= 0")
         if sum(self.counts) != self.total_pulses:
@@ -127,7 +117,7 @@ class PatternHistogram:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PatternHistogram":
-        return cls(counts=tuple(data["counts"]), total_pulses=int(data["total_pulses"]))
+        return cls(counts=data["counts"], total_pulses=data["total_pulses"])
 
 
 @dataclass(frozen=True)
@@ -223,12 +213,15 @@ def observed_coincidences(hist: PatternHistogram) -> CoincidenceSummary:
     if hist.total_pulses <= 0:
         raise ValueError("histogram holds no pulses")
     total = hist.total_pulses
-    subset_probs: dict[frozenset[int], float] = {}
-    for r in ORDERS:
-        for w in subsets_of_order(r):
-            mask = subset_mask(w)
-            hits = sum(hist.counts[p] for p in range(N_PATTERNS) if p & mask == mask)
-            subset_probs[w] = hits / total
+    # Superset sums: hits[m] ends up counting the pulses whose pattern contains m.
+    hits = list(hist.counts)
+    for bit in (1, 2, 4, 8):
+        for m in range(N_PATTERNS):
+            if not m & bit:
+                hits[m] += hits[m | bit]
+    subset_probs = {
+        w: hits[sum(1 << (i - 1) for i in w)] / total for r in ORDERS for w in subsets_of_order(r)
+    }
     order_probs = tuple(_order_average(subset_probs, r) for r in ORDERS)
     return CoincidenceSummary(subset_probs=subset_probs, order_probs=order_probs, total_pulses=total)
 
@@ -294,23 +287,43 @@ def conditional_coincidence(n: int, r: int, eta: Sequence[float]) -> float:
         inner = math.fsum(
             (1.0 - math.fsum(eta[i - 1] for i in w)) ** n for w in subsets_of_order(j)
         )
-        total += (-1) ** j * coincidence_weight(r, j) * inner
+        total += (-1) ** j * comb(N_DETECTORS - j, r - j) / comb(N_DETECTORS, r) * inner
     return total
 
 
-def _model_subset_probabilities(mu, eta: Sequence[float]) -> dict[frozenset[int], object]:
-    """Probability that every detector in W clicks, for every nonempty W.
+def click_probabilities(mu, eta: Sequence[float], dark_rate: float = 0.0):
+    """Probability that each detector clicks on one Poisson pulse of mean ``mu``.
 
     Poisson pulses split over passive arms give independent per-detector
-    photon streams, so the joint click probability is the product of the
-    marginals 1 - exp(-mu * eta_i).  ``mu`` may be a float or an array;
-    each value has the shape of ``mu``.
+    photon numbers Poisson(mu * eta_i), so detector i clicks with
+    probability 1 - exp(-mu * eta_i), or by a dark event of probability
+    ``dark_rate`` when no photon arrives.  ``mu`` may be a float or an
+    array; the result holds one row per detector, shape ``(4,) + mu.shape``.
     """
     eta = validate_efficiencies(eta)
     mu = np.asarray(mu, dtype=np.float64)
     if not np.all(np.isfinite(mu) & (mu >= 0.0)):
         raise ValueError(f"mean photon number must be finite and >= 0, got {mu!r}")
-    marginals = -np.expm1(-np.multiply.outer(eta, mu))
+    exponent = -np.multiply.outer(eta, mu)
+    probs = -np.expm1(exponent)
+    if dark_rate:
+        probs += dark_rate * np.exp(exponent)
+    return probs
+
+
+def pattern_probabilities(mu, eta: Sequence[float], dark_rate: float = 0.0):
+    """Probability of each of the 16 click patterns; shape ``mu.shape + (16,)``.
+
+    The detectors click independently, so each pattern's probability is a
+    product of the four detectors' click or no-click probabilities.
+    """
+    clicks = np.moveaxis(click_probabilities(mu, eta, dark_rate), 0, -1)[..., None, :]
+    return np.where(_PATTERN_BITS, clicks, 1.0 - clicks).prod(axis=-1)
+
+
+def _model_subset_probabilities(mu, eta: Sequence[float]) -> dict[frozenset[int], object]:
+    """c_W for every nonempty W: the product of the click marginals over W, shaped like ``mu``."""
+    marginals = click_probabilities(mu, eta)
     return {
         w: math.prod(marginals[i - 1] for i in sorted(w))
         for r in ORDERS
@@ -369,14 +382,7 @@ def write_timestamps_csv(path: str | Path, records: Sequence[TimestampRecord]) -
 
 
 def read_timestamps_csv(path: str | Path) -> list[TimestampRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != ["channel", "time_ps"]:
-            raise ValueError(f"unexpected timestamp CSV header: {reader.fieldnames}")
-        for row in reader:
-            records.append(TimestampRecord(channel=int(row["channel"]), time_ps=int(row["time_ps"])))
-    return records
+    return read_int_csv(path, ("channel", "time_ps"), TimestampRecord)
 
 
 def write_histogram_json(path: str | Path, hist: PatternHistogram, meta: dict | None = None) -> None:

@@ -1,4 +1,4 @@
-"""Atomic file writing and canonical JSON settings shared by all writers.
+"""Atomic file writing, canonical JSON and integer-CSV reading shared by all modules.
 
 Output files are produced by writing to a temporary file in the target
 directory and renaming it into place, so readers never observe a partial
@@ -8,6 +8,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import tempfile
@@ -39,3 +40,21 @@ def write_json_atomic(path: str | Path, payload) -> None:
 def read_json(path: str | Path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def read_int_csv(path: str | Path, header: tuple[str, ...], make) -> list:
+    """``make(*row)`` for each row of an integer CSV; a bad row's error names its line."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        found = next(reader, None)
+        if found != list(header):
+            raise ValueError(f"{path}: expected CSV header {','.join(header)}, got {found}")
+        rows = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                rows.append(make(*map(int, row)))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        return rows

@@ -1,26 +1,25 @@
 """Monte-Carlo click generation for fluctuating weak coherent pulse sources.
 
-Each pulse draws a Poisson photon number and routes every photon
-independently to one of the four detector arms (or to loss) with the
-configured overall efficiencies; a threshold detector clicks when at least
-one photon lands on it or a dark event fires.  This multinomial routing is
-exact for Poisson pulses split by passive linear optics onto
-non-interfering paths.
+Poisson pulses split by passive linear optics give each detector an
+independent Poisson(mu * eta_i) photon number, so the pulses of one
+intensity are independent draws from the 16-pattern product law of
+:func:`coincidence.pattern_probabilities`, with dark counts folded into each
+detector's click probability.  Histograms are drawn from that law with one
+multinomial per stretch of constant intensity; per-pulse patterns compare
+uniform draws with the click probabilities of each pulse's intensity.
 
 Determinism contract
 --------------------
-Pulses are processed in fixed-size chunks and every random draw depends
-only on (seed, stream, chunk index) or (seed, stream, cycle index), never
-on how work is partitioned.  Splitting a run across any number of workers
-and merging the partial histograms therefore reproduces the single-worker
-output bit for bit, and extending a run leaves the per-pulse prefix
-unchanged.
+Pulses are processed in chunks of ``CHUNK_SIZE`` and every random draw
+depends only on (seed, stream, chunk index) or (seed, stream, cycle index),
+never on how work is scheduled.  The same configuration and seed therefore
+give the same histogram for every ``workers`` value, and extending a run
+leaves the per-pulse prefix of :func:`simulate_patterns` unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +27,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .coincidence import N_PATTERNS, PatternHistogram, TimestampRecord
-from .fileio import write_text_atomic
+from .coincidence import click_probabilities, pattern_probabilities
+from .fileio import read_int_csv, write_text_atomic
 from .optics import EfficiencySet
 
 SOURCE_LABELS = ("S1", "S2", "S3", "S4")
@@ -38,6 +38,9 @@ _PULSE_STREAM = 0
 _CYCLE_STREAM = 1
 
 _PATTERN_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
+
+# Pulses per chunk, the unit of the per-pulse random streams.
+CHUNK_SIZE = 1 << 16
 
 _MAX_DARK_RATE = 0.01
 
@@ -93,7 +96,6 @@ class SimConfig:
     emit_timestamps: bool = False
     cycle_pulses: int | None = None
     click_delay_ps: int = 100_000
-    chunk_size: int = 1 << 16
 
     def __post_init__(self) -> None:
         if self.n_pulses <= 0:
@@ -106,8 +108,6 @@ class SimConfig:
             raise ValueError("click_delay_ps must lie inside the repetition period")
         if self.cycle_pulses is not None and self.cycle_pulses <= 0:
             raise ValueError(f"cycle_pulses must be > 0, got {self.cycle_pulses}")
-        if self.chunk_size <= 0:
-            raise ValueError(f"chunk_size must be > 0, got {self.chunk_size}")
 
     @property
     def cycle_length(self) -> int:
@@ -142,64 +142,50 @@ def _cycle_intensity(source: SourceModel, cfg: SimConfig, cycle_index: int) -> f
     return _draw_intensity(rng, source.mu, sigma)
 
 
+def _chunk_cycles(source: SourceModel, cfg: SimConfig, chunk_index: int):
+    """Intensity and pulse count of each cycle piece of the run's pulses in one chunk."""
+    start = chunk_index * CHUNK_SIZE
+    stop = min(start + CHUNK_SIZE, cfg.n_pulses)
+    length = cfg.cycle_length
+    first, last = start // length, (stop - 1) // length
+    edges = np.clip(np.arange(first, last + 2) * length, start, stop)
+    intensities = [_cycle_intensity(source, cfg, k) for k in range(first, last + 1)]
+    return np.array(intensities), np.diff(edges)
+
+
 def _chunk_patterns(source: SourceModel, cfg: SimConfig, chunk_index: int) -> np.ndarray:
-    """Click patterns of one full chunk of pulses (uint8 bitmasks)."""
-    size = cfg.chunk_size
-    start = chunk_index * size
-    eta = np.asarray(cfg.efficiency_set.eta, dtype=np.float64)
+    """Click patterns (uint8 bitmasks) of the run's pulses in one chunk.
+
+    A run's short last chunk draws a prefix of the full chunk's uniforms,
+    so extending the run keeps its patterns.
+    """
+    intensities, lengths = _chunk_cycles(source, cfg, chunk_index)
+    clicks = click_probabilities(intensities, cfg.efficiency_set, source.dark_rate)
     rng = np.random.default_rng([cfg.seed, _PULSE_STREAM, chunk_index])
-
-    sigma = source.fluctuation.sigma(source.mu)
-    if sigma == 0.0:
-        photon_counts = rng.poisson(source.mu, size)
-    else:
-        cycle_ids = (start + np.arange(size)) // cfg.cycle_length
-        unique_cycles, inverse = np.unique(cycle_ids, return_inverse=True)
-        intensities = np.array(
-            [_cycle_intensity(source, cfg, int(k)) for k in unique_cycles]
-        )
-        photon_counts = rng.poisson(intensities[inverse])
-
-    flags = np.zeros((size, len(eta)), dtype=bool)
-    total_photons = int(photon_counts.sum())
-    if total_photons:
-        pulse_of_photon = np.repeat(np.arange(size), photon_counts)
-        arm_edges = np.cumsum(eta)
-        destination = np.searchsorted(arm_edges, rng.random(total_photons), side="right")
-        detected = destination < len(eta)
-        flags[pulse_of_photon[detected], destination[detected]] = True
-    if source.dark_rate > 0.0:
-        flags |= rng.random(flags.shape) < source.dark_rate
+    uniforms = np.split(rng.random((lengths.sum(), len(_PATTERN_WEIGHTS))), np.cumsum(lengths)[:-1])
+    flags = np.concatenate([u < p for u, p in zip(uniforms, clicks.T)])
     return flags.astype(np.uint8) @ _PATTERN_WEIGHTS
 
 
 def _chunk_indices(cfg: SimConfig) -> range:
-    return range((cfg.n_pulses + cfg.chunk_size - 1) // cfg.chunk_size)
+    return range((cfg.n_pulses + CHUNK_SIZE - 1) // CHUNK_SIZE)
 
 
 def _chunk_counts(source: SourceModel, cfg: SimConfig, chunk_index: int) -> np.ndarray:
-    patterns = _chunk_patterns(source, cfg, chunk_index)
-    limit = min(cfg.chunk_size, cfg.n_pulses - chunk_index * cfg.chunk_size)
-    return np.bincount(patterns[:limit], minlength=N_PATTERNS)
+    """Pattern counts of the run's pulses in one chunk, one multinomial per cycle piece."""
+    intensities, lengths = _chunk_cycles(source, cfg, chunk_index)
+    probs = pattern_probabilities(intensities, cfg.efficiency_set, source.dark_rate)
+    rng = np.random.default_rng([cfg.seed, _PULSE_STREAM, chunk_index])
+    return rng.multinomial(lengths, probs).sum(axis=0)
 
 
 def simulate_pulses(source: SourceModel, cfg: SimConfig, workers: int = 1) -> PatternHistogram:
     """Pattern histogram of ``cfg.n_pulses`` simulated trigger periods.
 
-    ``workers`` only controls scheduling; the determinism contract makes
-    the result identical for every worker count.
+    ``workers`` is accepted for compatibility and has no effect: the
+    determinism contract makes the result the same for every value.
     """
-    chunks = _chunk_indices(cfg)
-    if workers <= 1:
-        counts = sum(
-            (_chunk_counts(source, cfg, c) for c in chunks),
-            np.zeros(N_PATTERNS, dtype=np.int64),
-        )
-    else:
-        counts = np.zeros(N_PATTERNS, dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(lambda c: _chunk_counts(source, cfg, c), chunks):
-                counts += part
+    counts = sum(_chunk_counts(source, cfg, c) for c in _chunk_indices(cfg))
     return PatternHistogram(counts=tuple(int(c) for c in counts), total_pulses=cfg.n_pulses)
 
 
@@ -209,8 +195,7 @@ def simulate_patterns(source: SourceModel, cfg: SimConfig) -> np.ndarray:
     Materializes every pulse; intended for moderate run sizes and for
     checking the per-pulse prefix stability of the random stream.
     """
-    parts = [_chunk_patterns(source, cfg, c) for c in _chunk_indices(cfg)]
-    return np.concatenate(parts)[: cfg.n_pulses]
+    return np.concatenate([_chunk_patterns(source, cfg, c) for c in _chunk_indices(cfg)])
 
 
 def simulate_timestamps(
@@ -228,16 +213,11 @@ def simulate_timestamps(
     records: list[TimestampRecord] = []
     for chunk_index in _chunk_indices(cfg):
         patterns = _chunk_patterns(source, cfg, chunk_index)
-        start = chunk_index * cfg.chunk_size
-        limit = min(cfg.chunk_size, cfg.n_pulses - start)
-        patterns = patterns[:limit]
         counts += np.bincount(patterns, minlength=N_PATTERNS)
-        flags = (patterns[:, None] >> np.arange(4)) & 1
-        pulse_ix, det_ix = np.nonzero(flags)
-        times = (start + pulse_ix) * cfg.rep_period_ps + cfg.click_delay_ps
+        pulse_ix, det_ix = np.nonzero((patterns[:, None] >> np.arange(4)) & 1)
+        times = (chunk_index * CHUNK_SIZE + pulse_ix) * cfg.rep_period_ps + cfg.click_delay_ps
         records.extend(
-            TimestampRecord(channel=int(d) + 1, time_ps=int(t))
-            for d, t in zip(det_ix, times)
+            TimestampRecord(channel=int(d) + 1, time_ps=int(t)) for d, t in zip(det_ix, times)
         )
     histogram = PatternHistogram(counts=tuple(int(c) for c in counts), total_pulses=cfg.n_pulses)
     return records, histogram
@@ -263,18 +243,13 @@ def simulate_count_series(
         raise ValueError(f"pulses_per_cycle must be > 0, got {pulses_per_cycle}")
     if detector not in (1, 2, 3, 4):
         raise ValueError(f"detector must be in 1..4, got {detector}")
-    eta_det = cfg.efficiency_set.eta[detector - 1]
     sigma = source.fluctuation.sigma(source.mu)
     if sigma > 0.0:
         _check_truncation(source.mu, sigma)
-    out = np.empty(cycles, dtype=np.int64)
-    for k in range(cycles):
-        rng = np.random.default_rng([cfg.seed, _CYCLE_STREAM, k])
-        mu_k = source.mu if sigma == 0.0 else _draw_intensity(rng, source.mu, sigma)
-        p_click = -math.expm1(-mu_k * eta_det)
-        p_click = 1.0 - (1.0 - p_click) * (1.0 - source.dark_rate)
-        out[k] = rng.binomial(pulses_per_cycle, p_click)
-    return out
+    rngs = [np.random.default_rng([cfg.seed, _CYCLE_STREAM, k]) for k in range(cycles)]
+    mus = [source.mu if sigma == 0.0 else _draw_intensity(rng, source.mu, sigma) for rng in rngs]
+    clicks = click_probabilities(mus, cfg.efficiency_set, source.dark_rate)[detector - 1]
+    return np.array([rng.binomial(pulses_per_cycle, p) for rng, p in zip(rngs, clicks)], dtype=np.int64)
 
 
 def write_count_series_csv(path: str | Path, series: np.ndarray) -> None:
@@ -285,9 +260,5 @@ def write_count_series_csv(path: str | Path, series: np.ndarray) -> None:
 
 
 def read_count_series_csv(path: str | Path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if header != "cycle_index,counts":
-            raise ValueError(f"unexpected count-series CSV header: {header!r}")
-        values = [int(line.split(",")[1]) for line in handle if line.strip()]
-    return np.array(values, dtype=np.int64)
+    counts = read_int_csv(path, ("cycle_index", "counts"), lambda _, count: count)
+    return np.array(counts, dtype=np.int64)

@@ -86,6 +86,22 @@ def routing_pattern_table(eta, n_max: int, n_enumerated: int = 8) -> np.ndarray:
     return table
 
 
+def dark_count_fold(pattern_probs, dark_rate: float) -> np.ndarray:
+    """Fold independent dark clicks into a 16-entry click-set law.
+
+    A detector the photons left silent still clicks with probability d, so
+    P'(S) = sum over T subset of S of P(T) d^{|S|-|T|} (1-d)^{4-|S|}.
+    """
+    size = [bin(s).count("1") for s in range(16)]
+    out = np.zeros(16)
+    for s in range(16):
+        silent = (1.0 - dark_rate) ** (4 - size[s])
+        for t in range(16):
+            if t & s == t:
+                out[s] += pattern_probs[t] * dark_rate ** (size[s] - size[t]) * silent
+    return out
+
+
 def routing_order_table(eta, n_max: int = 40) -> np.ndarray:
     """c_{n,r} from :func:`routing_pattern_table`; row n, column r-1."""
     patterns = routing_pattern_table(eta, n_max)

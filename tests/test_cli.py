@@ -222,3 +222,45 @@ def test_bad_values_exit_one(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+SERIES_ARGV = ["fluct", "--series", "0.3={path}"]
+TIMESTAMPS_ARGV = ["coincidence", "--timestamps", "{path}", "--pulses", "10", "--out", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("cycle_index,counts\n0,5\n1\n", SERIES_ARGV),
+        ("cycle_index,counts\n0,5\n1,x\n", SERIES_ARGV),
+        ("channel,time_ps\n1,100\n2\n", TIMESTAMPS_ARGV),
+        ("channel,time_ps\n1,100\n2,300,7\n", TIMESTAMPS_ARGV),
+    ],
+    ids=["series-short-row", "series-bad-count", "timestamps-short-row", "timestamps-long-row"],
+)
+def test_malformed_csv_row_exits_one_naming_the_line(tmp_path, capsys, text, argv):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    out = tmp_path / "out.json"
+    assert run([a.format(path=path, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path}, line 3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "counts, total",
+    [(3, 3), ([1.5, 1.5] + [0] * 14, 2), ([1] * 15, 15)],
+    ids=["scalar", "fraction", "short"],
+)
+def test_bad_histogram_counts_exit_one(tmp_path, capsys, counts, total):
+    path = tmp_path / "hist.json"
+    path.write_text(json.dumps({"total_pulses": total, "counts": counts}))
+    assert run(["coincidence", "--histogram", path, "--out", tmp_path / "s.json"]) == 1
+    assert "pattern counts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["nonsense", "x=series.csv"])
+def test_bad_series_spec_exits_one(capsys, spec):
+    assert run(["fluct", "--series", spec]) == 1
+    assert "expected MU=PATH" in capsys.readouterr().err

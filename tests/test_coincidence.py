@@ -16,6 +16,7 @@ from wcpstats.coincidence import (
     model_subset_probability,
     model_summary,
     observed_coincidences,
+    pattern_probabilities,
     patterns_from_timestamps,
     poisson_coincidence_model,
     read_histogram_json,
@@ -29,6 +30,8 @@ from wcpstats.coincidence import (
 
 from oracles import (
     coincidence_series,
+    dark_count_fold,
+    poisson_term,
     poisson_order_series,
     routing_order_average,
     routing_order_table,
@@ -70,6 +73,15 @@ def test_histogram_validation_and_merge():
     merged = a + b
     assert merged.total_pulses == 22
     assert merged.counts[1] == 3 and merged.counts[2] == 4
+
+
+def test_histogram_requires_sixteen_integer_counts():
+    with pytest.raises(ValueError, match="integer pattern counts"):
+        PatternHistogram(counts=(1.5,) + (0,) * 15, total_pulses=1)
+    with pytest.raises(ValueError, match="integer pattern counts"):
+        PatternHistogram.from_dict({"total_pulses": 3, "counts": 3})
+    hist = PatternHistogram(counts=np.arange(16), total_pulses=120)
+    assert hist.counts == tuple(range(16))
 
 
 def test_all_silent_and_all_clicking():
@@ -193,6 +205,11 @@ def table_eta_orders():
     return routing_order_table(TABLE_ETA)
 
 
+@pytest.fixture(scope="module")
+def table_eta_patterns():
+    return routing_pattern_table(TABLE_ETA, 40)
+
+
 def test_routing_table_recursion_matches_enumeration():
     enumerated = routing_pattern_table(TABLE_ETA, 8)
     recursed = routing_pattern_table(TABLE_ETA, 8, n_enumerated=1)
@@ -207,6 +224,17 @@ def test_model_matches_routing_series_to_relative_precision(mu, table_eta_orders
     model = poisson_coincidence_model(mu, TABLE_ETA)
     for r in (1, 2, 3, 4):
         assert model[r - 1] == pytest.approx(expected[r - 1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dark_rate", [0.0, 1e-3])
+@pytest.mark.parametrize("mu", [1e-4, 1e-3, 1e-2, 0.1, 0.5, 2.0])
+def test_pattern_law_matches_routing_series_with_dark_counts(mu, dark_rate, table_eta_patterns):
+    # The simulator samples this law, so it must equal the photon-routing
+    # series with dark clicks folded in, pattern by pattern.
+    photon_law = sum(poisson_term(mu, n) * row for n, row in enumerate(table_eta_patterns))
+    expected = dark_count_fold(photon_law, dark_rate)
+    law = pattern_probabilities(mu, TABLE_ETA, dark_rate)
+    np.testing.assert_allclose(law, expected, rtol=1e-12, atol=0.0)
 
 
 def test_model_array_rows_match_scalar_calls():

@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 
-from wcpstats.coincidence import observed_coincidences, patterns_from_timestamps
+from wcpstats.coincidence import (
+    observed_coincidences,
+    pattern_probabilities,
+    patterns_from_timestamps,
+)
 from wcpstats.config import default_efficiency_set
 from wcpstats.optics import EfficiencySet
 from wcpstats.simulator import (
@@ -107,6 +112,24 @@ def test_dark_counts_click_without_photons():
     for detector in (1, 2, 3, 4):
         observed = summary.subset_probs[frozenset({detector})]
         assert abs(observed - 0.01) <= 4 * sigma
+
+
+@pytest.mark.parametrize(
+    "sample, n_pulses",
+    [
+        (lambda s, c: np.array(simulate_pulses(s, c).counts), 2_000_000),
+        (lambda s, c: np.bincount(simulate_patterns(s, c), minlength=16), 500_000),
+    ],
+    ids=["simulate_pulses", "simulate_patterns"],
+)
+def test_pattern_histograms_fit_the_pattern_law(sample, n_pulses):
+    source = SourceModel(label="S1", mu=0.5, dark_rate=2e-3)
+    eff = default_efficiency_set()
+    counts = sample(source, _cfg(n_pulses, seed=29, eff=eff))
+    expected = n_pulses * pattern_probabilities(source.mu, eff.eta, source.dark_rate)
+    assert expected.min() >= 5.0
+    statistic = float(np.sum((counts - expected) ** 2 / expected))
+    assert chdtrc(15, statistic) > 1e-3
 
 
 def test_count_series_poisson_limit():

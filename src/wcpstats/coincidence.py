@@ -42,6 +42,7 @@ _PATTERN_BITS = ((np.arange(N_PATTERNS)[:, None] >> np.arange(N_DETECTORS)) & 1)
 _SUBSETS_BY_ORDER: tuple[tuple[frozenset[int], ...], ...] = tuple(
     tuple(frozenset(c) for c in combinations(DETECTORS, r)) for r in range(N_DETECTORS + 1)
 )
+_SUBSETS_PER_ORDER = np.array([comb(N_DETECTORS, r) for r in ORDERS], dtype=np.float64)
 
 
 def subsets_of_order(r: int) -> tuple[frozenset[int], ...]:
@@ -197,15 +198,16 @@ class CoincidenceSummary:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CoincidenceSummary":
-        subset_probs = {
-            frozenset(int(d) for d in key.split(",")): float(p)
-            for key, p in data["subsets"].items()
-        }
-        return cls(
-            subset_probs=subset_probs,
-            order_probs=tuple(float(x) for x in data["orders"]),
-            total_pulses=int(data["total_pulses"]),
-        )
+        try:
+            subset_probs = {
+                frozenset(int(d) for d in key.split(",")): float(p)
+                for key, p in data["subsets"].items()
+            }
+            order_probs = tuple(float(x) for x in data["orders"])
+            total_pulses = int(data["total_pulses"])
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed coincidence summary: {exc}") from None
+        return cls(subset_probs=subset_probs, order_probs=order_probs, total_pulses=total_pulses)
 
 
 def observed_coincidences(hist: PatternHistogram) -> CoincidenceSummary:
@@ -334,11 +336,16 @@ def _model_subset_probabilities(mu, eta: Sequence[float]) -> dict[frozenset[int]
 def poisson_coincidence_model(mu, eta: Sequence[float]):
     """Expected order-averaged coincidences c_1..c_4 for a Poisson source.
 
-    A float ``mu`` gives a tuple (c_1, c_2, c_3, c_4); an array of mu gives
-    an array with one such row per value.
+    c_r = e_r(q) / C(4, r), with e_r the elementary symmetric polynomial of
+    the click marginals q, built by a recurrence that adds only positive
+    terms.  A float ``mu`` gives a tuple (c_1, c_2, c_3, c_4); an array of
+    mu gives an array with one such row per value.
     """
-    subset_probs = _model_subset_probabilities(mu, eta)
-    orders = np.stack([_order_average(subset_probs, r) for r in ORDERS], axis=-1)
+    symmetric = np.zeros((N_DETECTORS + 1,) + np.shape(mu))
+    symmetric[0] = 1.0
+    for q in click_probabilities(mu, eta):
+        symmetric[1:] += symmetric[:-1] * q
+    orders = np.moveaxis(symmetric[1:], 0, -1) / _SUBSETS_PER_ORDER
     if orders.ndim == 1:
         return tuple(float(c) for c in orders)
     return orders

@@ -17,13 +17,16 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import chdtri
 
 from .coincidence import ORDERS, CoincidenceSummary, observed_coincidences, poisson_coincidence_model
 from .fileio import write_text_atomic
 from .optics import EfficiencySet, validate_efficiencies
+from .stats import chi_square_quantile
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Points of the coarse geometric scan and of each zoom; a zoom narrows
+# the bracket by a factor (_ZOOM_POINTS - 1) / 2.
+_SCAN_POINTS = 256
+_ZOOM_POINTS = 129
 
 METHOD_SINGLE = "single"
 METHOD_RIGOROUS = "rigorous"
@@ -34,7 +37,7 @@ class InsufficientDataError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the scalar search fails to converge; carries the best iterate."""
+    """Raised when the search fails to converge; carries the best iterate."""
 
     def __init__(self, message: str, best: "MuEstimate"):
         super().__init__(message)
@@ -100,8 +103,10 @@ def estimate_mu_rigorous(
     Minimizes sum_r w_r (c_obs,r - model_r(mu))^2 over mu in (0, mu_max]
     with inverse-variance weights w_r = 1 / max(var_r, 1/N^2), var_r being
     the binomial variance estimate of the observed probability.  A coarse
-    geometric scan brackets the minimum, then golden-section search refines
-    it to ``tol``.
+    geometric scan brackets the minimum; each zoom then rescans the bracket
+    on a linear grid and keeps the two cells around the smallest value,
+    until the bracket is narrower than ``tol``.  ``max_iter`` caps the
+    number of zooms.
     """
     eta = validate_efficiencies(eta)
     if not orders or any(r not in ORDERS for r in orders):
@@ -120,27 +125,16 @@ def estimate_mu_rigorous(
         model = np.asarray(poisson_coincidence_model(mu, eta))[..., columns]
         return np.sum(weights * (c_obs - model) ** 2, axis=-1)
 
-    grid = np.geomspace(1e-6, mu_max, 256)
-    best = int(np.argmin(objective(grid)))
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
+    def bracket(grid):
+        """The two cells of ``grid`` around its smallest objective value."""
+        best = int(np.argmin(objective(grid)))
+        return float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)])
 
-    # Golden-section search on [lo, hi].
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    iterations = 0
-    while b - a > tol and iterations < max_iter:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = objective(x2)
-        iterations += 1
+    a, b = bracket(np.geomspace(1e-6, mu_max, _SCAN_POINTS))
+    zooms = 0
+    while b - a > tol and zooms < max_iter:
+        a, b = bracket(np.linspace(a, b, _ZOOM_POINTS))
+        zooms += 1
 
     mu_hat = 0.5 * (a + b)
     model = poisson_coincidence_model(mu_hat, eta)
@@ -152,7 +146,7 @@ def estimate_mu_rigorous(
     )
     if b - a > tol:
         raise ConvergenceError(
-            f"scalar search did not reach |d mu| < {tol} within {max_iter} iterations",
+            f"search did not reach |d mu| < {tol} within {max_iter} zooms",
             best=estimate,
         )
     return estimate
@@ -200,7 +194,7 @@ def poissonity_test(
         )
     statistic = math.fsum(terms)
     dof = len(used) - 1
-    threshold = float(chdtri(dof, 1.0 - percentile))
+    threshold = chi_square_quantile(percentile, dof)
     return PoissonityResult(
         statistic=statistic,
         dof=dof,

@@ -23,10 +23,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .fileio import write_json_atomic
-from .stats import _check_mu
+from .stats import _check_mu, normal_cdf
 
 
 def info_leakage(mu: float) -> float:
@@ -143,7 +142,7 @@ class SourceDistribution:
 
     @property
     def truncated_mass(self) -> float:
-        return float(ndtr(-self.mean / self.sigma))
+        return normal_cdf(-self.mean / self.sigma)
 
 
 def gaussian_distribution(mean: float, sigma: float) -> SourceDistribution:
@@ -168,7 +167,7 @@ def _positive_overlap(d_i: SourceDistribution, d_j: SourceDistribution) -> float
     sigma_c = d_i.sigma * d_j.sigma / math.sqrt(variance)
     gap = d_i.mean - d_j.mean
     peak = math.exp(-0.5 * gap * gap / variance) / math.sqrt(2.0 * math.pi * variance)
-    return peak * float(ndtr(mean_c / sigma_c))
+    return peak * normal_cdf(mean_c / sigma_c)
 
 
 def cross_correlation(d_i: SourceDistribution, d_j: SourceDistribution) -> float:

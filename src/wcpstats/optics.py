@@ -156,13 +156,18 @@ class EfficiencySet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EfficiencySet":
-        if "eta_b" in data:
-            eta_c = data.get("eta_c", 1.0)
-            if isinstance(eta_c, list):
-                eta_c = tuple(eta_c)
-            return cls(eta_b=tuple(data["eta_b"]), eta_c=eta_c, eta_d=data.get("eta_d", 1.0))
-        if "eta" in data:
-            return cls.from_overall(data["eta"])
+        if not isinstance(data, dict):
+            raise ValueError(f"efficiency data must be a JSON object, got {data!r}")
+        try:
+            if "eta_b" in data:
+                eta_c = data.get("eta_c", 1.0)
+                if isinstance(eta_c, list):
+                    eta_c = tuple(eta_c)
+                return cls(eta_b=tuple(data["eta_b"]), eta_c=eta_c, eta_d=data.get("eta_d", 1.0))
+            if "eta" in data:
+                return cls.from_overall(data["eta"])
+        except TypeError as exc:
+            raise ValueError(f"malformed efficiency data: {exc}") from None
         raise ValueError("efficiency data must provide either 'eta_b' or 'eta'")
 
 

@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 from .coincidence import N_PATTERNS, PatternHistogram, TimestampRecord
 from .coincidence import click_probabilities, pattern_probabilities
 from .fileio import read_int_csv, write_text_atomic
 from .optics import EfficiencySet
+from .stats import normal_cdf
 
 SOURCE_LABELS = ("S1", "S2", "S3", "S4")
 
@@ -118,7 +118,7 @@ class SimConfig:
 
 
 def _check_truncation(mean: float, sigma: float) -> None:
-    if ndtr(-mean / sigma) > 0.5:
+    if normal_cdf(-mean / sigma) > 0.5:
         raise ValueError(
             f"fluctuation sigma {sigma} puts more than half the intensity "
             f"distribution below zero for mean {mean}; model misuse"

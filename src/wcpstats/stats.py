@@ -5,7 +5,9 @@ photons per pulse is Poisson distributed and the mean photon number ``mu``
 is the single parameter that fixes the whole distribution.  This module
 collects the closed-form pieces: the Fock-basis overlap of a coherent
 state, the Poisson pmf itself, attenuation planning (choosing a neutral
-density filter to hit a target ``mu``), and the multi-photon probability.
+density filter to hit a target ``mu``), the multi-photon probability, and
+the three special functions the package needs (the normal CDF, the Poisson
+tail and the chi-square quantile), written with the standard library alone.
 
 All functions are pure and stateless.
 """
@@ -14,8 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import gammainc
 
 # CODATA 2018 defined values; both are exact by definition of the SI.
 PLANCK_CONSTANT = 6.62607015e-34  # J s
@@ -55,6 +55,71 @@ def poisson_pmf(mu: float, n: int) -> float:
     if n <= _DIRECT_EVAL_MAX_N:
         return math.exp(-mu) * mu**n / math.factorial(n)
     return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+
+
+def poisson_tail(mu: float, n: int) -> float:
+    """P(N > n) for a Poisson photon number N of mean ``mu``.
+
+    Summed as positive terms upward from p_{n+1}; each term is the last
+    one times mu / k, so once k exceeds mu the terms fall geometrically.
+    """
+    total = 0.0
+    k = n + 1
+    term = poisson_pmf(mu, k)
+    while total + term != total:
+        total += term
+        k += 1
+        term *= mu / k
+    return total
+
+
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF Phi(x); erfc keeps relative precision in the lower tail."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _chi_square_sf(x: float, dof: int) -> float:
+    """P(X > x) for chi-square X with integer ``dof``: the upper gamma ratio Q(dof/2, x/2).
+
+    Q(1/2, y) = 2 Phi(-sqrt(2y)) and Q(1, y) = exp(-y) start the
+    positive-term recursion Q(a+1, y) = Q(a, y) + y^a exp(-y) / Gamma(a+1).
+    """
+    y = 0.5 * x
+    if dof % 2:
+        a, sf = 0.5, 2.0 * normal_cdf(-math.sqrt(x))
+        term = 2.0 * math.sqrt(y / math.pi) * math.exp(-y)
+    else:
+        a, sf = 1.0, math.exp(-y)
+        term = y * math.exp(-y)
+    while a < 0.5 * dof:
+        sf += term
+        a += 1.0
+        term *= y / a
+    return sf
+
+
+def chi_square_quantile(percentile: float, dof: int) -> float:
+    """The x with P(X <= x) = ``percentile`` for chi-square X with integer ``dof``.
+
+    Bisection on the closed-form survival function, carried on until the
+    bracket holds no float between its ends.
+    """
+    if not 0.0 < percentile < 1.0:
+        raise ValueError(f"percentile must lie in (0, 1), got {percentile!r}")
+    if isinstance(dof, bool) or not isinstance(dof, int) or dof < 1:
+        raise ValueError(f"degrees of freedom must be a positive integer, got {dof!r}")
+    p = 1.0 - percentile
+    lo, hi = 0.0, float(dof)
+    while _chi_square_sf(hi, dof) > p:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if _chi_square_sf(mid, dof) > p:
+            lo = mid
+        else:
+            hi = mid
 
 
 def coherent_fock_probability(mu: float, n: int) -> float:
@@ -194,7 +259,7 @@ class PhotonNumberDistribution:
             # 64 covers mu <= 2 with tail below 1e-50; wider means grow the table.
             n_max = 64 if mu <= 2.0 else max(64, math.ceil(mu + 15.0 * math.sqrt(mu) + 20.0))
         probs = tuple(poisson_pmf(mu, n) for n in range(n_max + 1))
-        tail = float(gammainc(n_max + 1, mu))
+        tail = poisson_tail(mu, n_max)
         return cls(mu=mu, n_max=n_max, probs=probs, tail=tail)
 
     def probability(self, n: int) -> float:

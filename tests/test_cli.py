@@ -22,6 +22,14 @@ def test_cli_import_skips_scipy_stats():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, wcpstats.cli;"
+        "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_simulate_then_analyze_pipeline(tmp_path, capsys):
     hist_path = tmp_path / "hist.json"
     assert run(
@@ -264,3 +272,52 @@ def test_bad_histogram_counts_exit_one(tmp_path, capsys, counts, total):
 def test_bad_series_spec_exits_one(capsys, spec):
     assert run(["fluct", "--series", spec]) == 1
     assert "expected MU=PATH" in capsys.readouterr().err
+
+
+SUMMARY = {
+    "total_pulses": 10,
+    "subsets": {"1": 0.1, "2": 0.1, "3": 0.1, "4": 0.1, "1,2": 0.0, "1,3": 0.0, "1,4": 0.0,
+                "2,3": 0.0, "2,4": 0.0, "3,4": 0.0, "1,2,3": 0.0, "1,2,4": 0.0,
+                "1,3,4": 0.0, "2,3,4": 0.0, "1,2,3,4": 0.0},
+    "orders": [0.1, 0.0, 0.0, 0.0],
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {**SUMMARY, "orders": 3},
+        {**SUMMARY, "orders": [None] * 4},
+        {**SUMMARY, "subsets": [1, 2]},
+        {**SUMMARY, "total_pulses": None},
+        [SUMMARY],
+    ],
+    ids=["scalar-orders", "null-orders", "list-subsets", "null-total", "list-top-level"],
+)
+def test_malformed_summary_exits_one(tmp_path, capsys, payload):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(payload))
+    assert run(["estimate", "--summary", path]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed coincidence summary")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"eta": 0.5},
+        {"eta_b": 0.5},
+        {"eta_b": [None, 0.1, 0.1, 0.1]},
+        {"eta_b": [0.1] * 4, "eta_d": "x"},
+        3,
+    ],
+    ids=["scalar-eta", "scalar-eta_b", "null-eta_b", "string-eta_d", "scalar-top-level"],
+)
+def test_malformed_efficiency_file_exits_one(tmp_path, capsys, payload):
+    summary_path = tmp_path / "summary.json"
+    summary_path.write_text(json.dumps(SUMMARY))
+    eff_path = tmp_path / "eff.json"
+    eff_path.write_text(json.dumps(payload))
+    out = tmp_path / "bounds.json"
+    assert run(["bounds", "--summary", summary_path, "--eff", eff_path, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -8,6 +8,7 @@ import pytest
 from wcpstats.coincidence import CoincidenceSummary, model_summary, observed_coincidences
 from wcpstats.config import default_efficiency_set
 from wcpstats.estimation import (
+    ConvergenceError,
     InsufficientDataError,
     estimate_mu_rigorous,
     estimate_mu_single,
@@ -83,6 +84,23 @@ def test_rigorous_round_trip_random_eta():
         mu = float(rng.uniform(0.02, 2.0))
         summary = model_summary(mu, eta, 10**12)
         assert estimate_mu_rigorous(summary, eta).mu_hat == pytest.approx(mu, abs=1e-9)
+
+
+def test_rigorous_round_trip_at_smallest_mu():
+    summary = model_summary(1e-4, ETA, 10**12)
+    assert estimate_mu_rigorous(summary, ETA).mu_hat == pytest.approx(1e-4, rel=1e-6)
+
+
+def test_rigorous_max_iter_one_raises_with_best_in_scan_bracket():
+    mu = 0.5
+    with pytest.raises(ConvergenceError) as exc:
+        estimate_mu_rigorous(model_summary(mu, ETA, 10**12), ETA, max_iter=1)
+    # The scan's argmin is a grid neighbour of mu, and its bracket spans one
+    # more cell on either side.
+    grid = np.geomspace(1e-6, 10.0, 256)
+    j = int(np.searchsorted(grid, mu))
+    assert grid[j - 2] <= exc.value.best.mu_hat <= grid[j + 1]
+    assert exc.value.best.method == "rigorous"
 
 
 def test_rigorous_requires_clicks():

@@ -1,8 +1,11 @@
 """Tests for the closed-form photon-statistics module."""
 
 import math
+import sys
 
+import numpy as np
 import pytest
+from scipy.special import chdtri, gammainc, ndtr
 
 from wcpstats.stats import (
     PLANCK_CONSTANT,
@@ -10,10 +13,13 @@ from wcpstats.stats import (
     AttenuationSpec,
     PhotonNumberDistribution,
     attenuation_for_target,
+    chi_square_quantile,
     coherent_fock_probability,
     desired_mean_photon,
     multi_photon_probability,
+    normal_cdf,
     poisson_pmf,
+    poisson_tail,
 )
 
 from oracles import poisson_term
@@ -138,3 +144,37 @@ def test_distribution_rejects_inconsistent_probs():
         PhotonNumberDistribution(mu=0.5, n_max=8, probs=tuple(bad), tail=dist.tail)
     with pytest.raises(ValueError):
         PhotonNumberDistribution.from_mu(0.0)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_chi_square_quantile_matches_scipy(dof):
+    percentiles = np.concatenate([np.linspace(0.5, 0.999, 50), [0.9999, 0.99999, 0.999999]])
+    for percentile in percentiles:
+        expected = chdtri(dof, 1.0 - percentile)
+        assert chi_square_quantile(float(percentile), dof) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("percentile, dof", [(0.0, 1), (1.0, 1), (0.99, 0), (0.99, 1.5)])
+def test_chi_square_quantile_rejects_bad_inputs(percentile, dof):
+    with pytest.raises(ValueError):
+        chi_square_quantile(percentile, dof)
+
+
+def test_normal_cdf_matches_scipy():
+    # Rounding x / sqrt(2) costs ~x^2 ulp of relative precision at x = -30.
+    for x in np.linspace(-30.0, 8.0, 3801):
+        assert normal_cdf(float(x)) == pytest.approx(ndtr(x), rel=5e-13)
+
+
+def test_poisson_tail_matches_scipy():
+    # P(N > n) = gammainc(n + 1, mu); the log-space first term costs
+    # ~n ln(n) ulp, and gammainc itself is good to ~1e-13 here.
+    checked = 0
+    for mu in np.geomspace(1e-4, 50.0, 60):
+        mu = float(mu)
+        for n in [*range(0, 80, 3), PhotonNumberDistribution.from_mu(mu).n_max]:
+            expected = gammainc(n + 1, mu)
+            if expected >= sys.float_info.min:
+                assert poisson_tail(mu, n) == pytest.approx(expected, rel=1e-12)
+                checked += 1
+    assert checked > 500

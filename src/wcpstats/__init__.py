@@ -11,7 +11,6 @@ inter-source intensity-fluctuation distinguishability.
 __version__ = "0.1.0"
 
 from .bounds import (
-    NormalizedCoincidences,
     PhotonNumberBounds,
     ShapeFactors,
     evaluate_bounds,
@@ -21,7 +20,6 @@ from .bounds import (
 )
 from .coincidence import (
     CoincidenceSummary,
-    DetectionPattern,
     PatternHistogram,
     TimestampRecord,
     conditional_coincidence,
@@ -57,7 +55,6 @@ from .optics import (
     DetectionTree,
     EfficiencySet,
     branching_efficiencies,
-    overall_efficiencies,
 )
 from .simulator import (
     FluctuationModel,
@@ -83,7 +80,6 @@ __all__ = [
     "BeamSplitter",
     "CoincidenceSummary",
     "ConvergenceError",
-    "DetectionPattern",
     "DetectionTree",
     "EfficiencySet",
     "FluctuationFit",
@@ -91,7 +87,6 @@ __all__ = [
     "InsufficientDataError",
     "LeakageReport",
     "MuEstimate",
-    "NormalizedCoincidences",
     "PatternHistogram",
     "PhotonNumberBounds",
     "PhotonNumberDistribution",
@@ -118,7 +113,6 @@ __all__ = [
     "multi_photon_probability",
     "normalized_coincidences",
     "observed_coincidences",
-    "overall_efficiencies",
     "pairwise_leakage",
     "pairwise_reports",
     "patterns_from_timestamps",

@@ -79,29 +79,17 @@ def shape_factors(eta: Sequence[float]) -> ShapeFactors:
     return ShapeFactors(s=s, xi=xi)
 
 
-@dataclass(frozen=True)
-class NormalizedCoincidences:
+def normalized_coincidences(
+    summary: CoincidenceSummary, factors: ShapeFactors
+) -> tuple[float, float, float, float]:
     """Order-averaged coincidences scaled by 1 / (r! * s_r).
 
     For uniform efficiencies the scale equals 1 / (r! * eta_bar**r).
     """
-
-    values: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        for v in self.values:
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"normalized coincidence out of range: {v!r}")
-
-
-def normalized_coincidences(
-    summary: CoincidenceSummary, factors: ShapeFactors
-) -> NormalizedCoincidences:
-    values = tuple(
+    return tuple(
         summary.order_probability(r) / (math.factorial(r) * factors.s[r - 1])
         for r in (1, 2, 3, 4)
     )
-    return NormalizedCoincidences(values=values)
 
 
 @dataclass(frozen=True)
@@ -233,8 +221,7 @@ def photon_number_bounds(summary: CoincidenceSummary, eta: Sequence[float]) -> P
     """Bounds on p_0..p_3 and p_{>=4} from observed coincidences."""
     eta = validate_efficiencies(eta)
     factors = shape_factors(eta)
-    c_tilde = normalized_coincidences(summary, factors)
-    return evaluate_bounds(c_tilde.values, factors.s[0], factors)
+    return evaluate_bounds(normalized_coincidences(summary, factors), factors.s[0], factors)
 
 
 def write_bounds_json(path: str | Path, bounds: PhotonNumberBounds, meta: dict | None = None) -> None:

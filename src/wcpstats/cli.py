@@ -17,6 +17,7 @@ from pathlib import Path
 from . import __version__
 from .bounds import photon_number_bounds, write_bounds_json
 from .coincidence import (
+    DETECTORS,
     observed_coincidences,
     patterns_from_timestamps,
     read_histogram_json,
@@ -70,10 +71,10 @@ def _out_path(raw: str) -> Path:
     return path
 
 
-def _efficiency_from_args(args) -> EfficiencySet:
-    if getattr(args, "eff", None):
+def _efficiency_from_args(args, config: RunConfig) -> EfficiencySet:
+    if args.eff:
         return EfficiencySet.from_dict(read_json(args.eff))
-    return RunConfig.load(getattr(args, "config", None)).efficiency_set()
+    return config.efficiency_set()
 
 
 def _source_from_args(args, config: RunConfig) -> SourceModel:
@@ -141,9 +142,8 @@ def cmd_coincidence(args) -> int:
 
 def cmd_estimate(args) -> int:
     summary = read_summary_json(args.summary)
-    eff = _efficiency_from_args(args)
-    eta = eff.eta
     config = RunConfig.load(args.config)
+    eta = _efficiency_from_args(args, config).eta
     rep_rate = args.rep_rate if args.rep_rate is not None else config.rep_rate_hz
     result: dict = {"total_pulses": summary.total_pulses}
     if args.method in ("single", "both"):
@@ -175,7 +175,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_bounds(args) -> int:
     summary = read_summary_json(args.summary)
-    eff = _efficiency_from_args(args)
+    eff = _efficiency_from_args(args, RunConfig.load(args.config))
     bounds = photon_number_bounds(summary, eff.eta)
     write_bounds_json(
         _out_path(args.out), bounds, meta={"eta_bar": eff.eta_bar, "total_pulses": summary.total_pulses}
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eff", help="efficiency JSON (eta_b/eta_c/eta_d or eta)")
     p.add_argument("--config")
     p.add_argument("--method", choices=("single", "rigorous", "both"), default="both")
-    p.add_argument("--detector", type=int, default=1)
+    p.add_argument("--detector", type=int, choices=DETECTORS, default=1)
     p.add_argument("--rep-rate", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=50)
     p.add_argument("--pulses-per-cycle", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--detector", type=int, default=1)
+    p.add_argument("--detector", type=int, choices=DETECTORS, default=1)
     p.add_argument("--label", default="S1")
     p.add_argument("--fluct-a", type=float, default=0.05)
     p.add_argument("--fluct-b", type=float, default=0.0)
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--pulses", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--detector", type=int, default=1)
+    p.add_argument("--detector", type=int, choices=DETECTORS, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -53,37 +53,8 @@ def subsets_of_order(r: int) -> tuple[frozenset[int], ...]:
 
 
 def _order_average(subset_probs: Mapping[frozenset[int], float], r: int):
-    """c_r: the mean of c_W over the C(4, r) subsets W of size r.
-
-    Works elementwise when the subset probabilities are arrays.
-    """
+    """c_r: the mean of c_W over the C(4, r) subsets W of size r."""
     return sum(subset_probs[w] for w in subsets_of_order(r)) / comb(N_DETECTORS, r)
-
-
-@dataclass(frozen=True)
-class DetectionPattern:
-    """Click flags of one pulse, one boolean per detector."""
-
-    flags: tuple[bool, bool, bool, bool]
-
-    def __post_init__(self) -> None:
-        if len(self.flags) != N_DETECTORS:
-            raise ValueError(f"need {N_DETECTORS} click flags, got {len(self.flags)}")
-        object.__setattr__(self, "flags", tuple(bool(f) for f in self.flags))
-
-    @property
-    def index(self) -> int:
-        return sum(1 << i for i, f in enumerate(self.flags) if f)
-
-    @property
-    def clicked(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, f in enumerate(self.flags) if f)
-
-    @classmethod
-    def from_index(cls, index: int) -> "DetectionPattern":
-        if not 0 <= index < N_PATTERNS:
-            raise ValueError(f"pattern index must be in 0..{N_PATTERNS - 1}, got {index}")
-        return cls(tuple(bool(index >> i & 1) for i in range(N_DETECTORS)))
 
 
 @dataclass(frozen=True)
@@ -107,18 +78,15 @@ class PatternHistogram:
                 f"pattern counts sum to {sum(self.counts)}, expected {self.total_pulses}"
             )
 
-    def __add__(self, other: "PatternHistogram") -> "PatternHistogram":
-        return PatternHistogram(
-            counts=tuple(a + b for a, b in zip(self.counts, other.counts)),
-            total_pulses=self.total_pulses + other.total_pulses,
-        )
-
     def to_dict(self) -> dict:
         return {"total_pulses": self.total_pulses, "counts": list(self.counts)}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PatternHistogram":
-        return cls(counts=data["counts"], total_pulses=data["total_pulses"])
+        try:
+            return cls(counts=data["counts"], total_pulses=data["total_pulses"])
+        except TypeError as exc:
+            raise ValueError(f"malformed pattern histogram: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -166,6 +134,11 @@ class CoincidenceSummary:
         for w, p in self.subset_probs.items():
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"probability for subset {sorted(w)} out of range: {p!r}")
+        if len(self.order_probs) != len(ORDERS):
+            raise ValueError(f"need {len(ORDERS)} order probabilities, got {len(self.order_probs)}")
+        for k, p in enumerate(self.order_probs):
+            if not (0.0 <= p <= 1.0):
+                raise ValueError(f"order_probs[{k}] out of range: {p!r}")
         # Supersets can only lose pulses: V subset of W implies c_W <= c_V.
         for w, p in self.subset_probs.items():
             for v in self.subset_probs:
@@ -210,22 +183,27 @@ class CoincidenceSummary:
         return cls(subset_probs=subset_probs, order_probs=order_probs, total_pulses=total_pulses)
 
 
-def observed_coincidences(hist: PatternHistogram) -> CoincidenceSummary:
-    """Subset and order-averaged coincidence probabilities of a histogram."""
-    if hist.total_pulses <= 0:
-        raise ValueError("histogram holds no pulses")
-    total = hist.total_pulses
-    # Superset sums: hits[m] ends up counting the pulses whose pattern contains m.
-    hits = list(hist.counts)
+def _summary_from_patterns(weights: Sequence, total_pulses: int) -> CoincidenceSummary:
+    """Summary of 16 pattern weights (counts or probabilities) over their total."""
+    # Superset sums: hits[m] ends up holding the weight of the patterns that
+    # contain m, so hits[0] is the total weight.
+    hits = list(weights)
     for bit in (1, 2, 4, 8):
         for m in range(N_PATTERNS):
             if not m & bit:
                 hits[m] += hits[m | bit]
     subset_probs = {
-        w: hits[sum(1 << (i - 1) for i in w)] / total for r in ORDERS for w in subsets_of_order(r)
+        w: hits[sum(1 << (i - 1) for i in w)] / hits[0] for r in ORDERS for w in subsets_of_order(r)
     }
     order_probs = tuple(_order_average(subset_probs, r) for r in ORDERS)
-    return CoincidenceSummary(subset_probs=subset_probs, order_probs=order_probs, total_pulses=total)
+    return CoincidenceSummary(subset_probs=subset_probs, order_probs=order_probs, total_pulses=total_pulses)
+
+
+def observed_coincidences(hist: PatternHistogram) -> CoincidenceSummary:
+    """Subset and order-averaged coincidence probabilities of a histogram."""
+    if hist.total_pulses <= 0:
+        raise ValueError("histogram holds no pulses")
+    return _summary_from_patterns(hist.counts, hist.total_pulses)
 
 
 def patterns_from_timestamps(
@@ -323,16 +301,6 @@ def pattern_probabilities(mu, eta: Sequence[float], dark_rate: float = 0.0):
     return np.where(_PATTERN_BITS, clicks, 1.0 - clicks).prod(axis=-1)
 
 
-def _model_subset_probabilities(mu, eta: Sequence[float]) -> dict[frozenset[int], object]:
-    """c_W for every nonempty W: the product of the click marginals over W, shaped like ``mu``."""
-    marginals = click_probabilities(mu, eta)
-    return {
-        w: math.prod(marginals[i - 1] for i in sorted(w))
-        for r in ORDERS
-        for w in subsets_of_order(r)
-    }
-
-
 def poisson_coincidence_model(mu, eta: Sequence[float]):
     """Expected order-averaged coincidences c_1..c_4 for a Poisson source.
 
@@ -356,7 +324,7 @@ def model_subset_probability(mu: float, eta: Sequence[float], subset: Iterable[i
     w = frozenset(subset)
     if not w or not w <= set(DETECTORS):
         raise ValueError(f"subset must be a nonempty subset of {DETECTORS}, got {sorted(w)}")
-    return float(_model_subset_probabilities(mu, eta)[w])
+    return model_summary(mu, eta, 1).subset_probs[w]
 
 
 def model_summary(mu: float, eta: Sequence[float], total_pulses: int) -> CoincidenceSummary:
@@ -365,11 +333,7 @@ def model_summary(mu: float, eta: Sequence[float], total_pulses: int) -> Coincid
     ``total_pulses`` only sizes the variance estimates of downstream
     consumers; the stored probabilities are exact model values.
     """
-    subset_probs = {w: float(p) for w, p in _model_subset_probabilities(mu, eta).items()}
-    order_probs = tuple(_order_average(subset_probs, r) for r in ORDERS)
-    return CoincidenceSummary(
-        subset_probs=subset_probs, order_probs=order_probs, total_pulses=total_pulses
-    )
+    return _summary_from_patterns(pattern_probabilities(mu, eta).tolist(), total_pulses)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ def default_efficiency_set(
     )
 
 
+# Scalar RunConfig fields read from a config file, with their types.
+_SCALAR_FIELDS = {"eta_d": float, "rep_rate_hz": float, "pulses": int, "seed": int}
+
+
 def _tree_from_dict(data: dict) -> DetectionTree:
     def splitter(key: str) -> BeamSplitter:
         entry = data[key]
@@ -102,33 +106,28 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        kwargs: dict = {}
-        if "geometry" in data:
-            kwargs["tree"] = _tree_from_dict(data["geometry"])
-        if "eta_c" in data:
-            eta_c = data["eta_c"]
-            kwargs["eta_c"] = tuple(eta_c) if isinstance(eta_c, list) else float(eta_c)
-        if "eta_d" in data:
-            kwargs["eta_d"] = float(data["eta_d"])
-        if "rep_rate_hz" in data:
-            kwargs["rep_rate_hz"] = float(data["rep_rate_hz"])
-        if "pulses" in data:
-            kwargs["pulses"] = int(data["pulses"])
-        if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
-        sources = {}
-        for label, entry in data.get("sources", {}).items():
-            sources[label] = SourceModel(
-                label=label,
-                mu=float(entry["mu"]),
-                fluctuation=FluctuationModel(
-                    slope=float(entry.get("fluct_a", 0.0)),
-                    intercept=float(entry.get("fluct_b", 0.0)),
-                ),
-                dark_rate=float(entry.get("dark_rate", 0.0)),
-            )
-        kwargs["sources"] = sources
-        return cls(**kwargs)
+        try:
+            kwargs = {key: cast(data[key]) for key, cast in _SCALAR_FIELDS.items() if key in data}
+            if "geometry" in data:
+                kwargs["tree"] = _tree_from_dict(data["geometry"])
+            if "eta_c" in data:
+                eta_c = data["eta_c"]
+                kwargs["eta_c"] = tuple(eta_c) if isinstance(eta_c, list) else float(eta_c)
+            kwargs["sources"] = {
+                label: SourceModel(
+                    label=label,
+                    mu=float(entry["mu"]),
+                    fluctuation=FluctuationModel(
+                        slope=float(entry.get("fluct_a", 0.0)),
+                        intercept=float(entry.get("fluct_b", 0.0)),
+                    ),
+                    dark_rate=float(entry.get("dark_rate", 0.0)),
+                )
+                for label, entry in data.get("sources", {}).items()
+            }
+            return cls(**kwargs)
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed run config: {exc}") from None
 
     @classmethod
     def load(cls, path: str | None) -> "RunConfig":

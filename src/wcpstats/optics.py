@@ -171,16 +171,6 @@ class EfficiencySet:
         raise ValueError("efficiency data must provide either 'eta_b' or 'eta'")
 
 
-def overall_efficiencies(
-    eta_b: Sequence[float],
-    eta_c: float | Sequence[float],
-    eta_d: float,
-) -> EfficiencySet:
-    """Combine branching, coupling and detector factors into an EfficiencySet."""
-    eta_c_value = eta_c if isinstance(eta_c, (int, float)) else tuple(float(x) for x in eta_c)
-    return EfficiencySet(eta_b=tuple(float(x) for x in eta_b), eta_c=eta_c_value, eta_d=float(eta_d))
-
-
 def validate_efficiencies(eta: Sequence[float]) -> tuple[float, float, float, float]:
     """Check a raw 4-vector of overall efficiencies and return it as a tuple.
 

@@ -13,6 +13,7 @@ from math import comb
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 DETECTORS = (1, 2, 3, 4)
 
@@ -144,7 +145,7 @@ def truncated_overlap_quad(m1: float, s1: float, m2: float, s2: float) -> float:
 
 
 def normal_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return float(ndtr(x))
 
 
 def gaussian_overlap_closed_form(m1: float, s1: float, m2: float, s2: float) -> float:

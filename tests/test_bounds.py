@@ -119,7 +119,7 @@ def test_tail_upper_bound_is_plain_copy():
     eta = (0.05,) * 4
     summary = model_summary(0.5, eta, 10**12)
     bounds = photon_number_bounds(summary, eta)
-    c_tilde_4 = normalized_coincidences(summary, shape_factors(eta)).values[3]
+    c_tilde_4 = normalized_coincidences(summary, shape_factors(eta))[3]
     assert bounds.upper[4] == c_tilde_4
     # For uniform efficiencies the scale is r! * eta_bar**r.
     assert c_tilde_4 == pytest.approx(
@@ -143,7 +143,7 @@ def test_uniform_case_reduction():
     summary = model_summary(0.5, eta, 10**12)
     factors = shape_factors(eta)
     eta_bar = factors.s[0]
-    c_tilde = normalized_coincidences(summary, factors).values
+    c_tilde = normalized_coincidences(summary, factors)
     bounds = evaluate_bounds(c_tilde, eta_bar, factors)
     ref_lower, ref_upper = _uniform_reference_bounds(c_tilde, eta_bar)
     assert bounds.lower == ref_lower
@@ -152,7 +152,7 @@ def test_uniform_case_reduction():
 
 def test_normalized_coincidences_non_negative():
     summary = model_summary(0.5, TABLE_ETA, 1000)
-    values = normalized_coincidences(summary, shape_factors(TABLE_ETA)).values
+    values = normalized_coincidences(summary, shape_factors(TABLE_ETA))
     assert all(v >= 0 for v in values)
 
 

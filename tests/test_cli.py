@@ -321,3 +321,45 @@ def test_malformed_efficiency_file_exits_one(tmp_path, capsys, payload):
     assert run(["bounds", "--summary", summary_path, "--eff", eff_path, "--out", out]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+SIMULATE_CONFIG_ARGV = ["simulate", "--config", "{path}", "--pulses", "10", "--out-histogram", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "payload, argv, message",
+    [
+        ([1, 2], ["coincidence", "--histogram", "{path}", "--out", "{out}"], "pattern histogram"),
+        ([1, 2], SIMULATE_CONFIG_ARGV, "run config"),
+        ({"sources": {"S1": 3}}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"geometry": [1, 2]}, SIMULATE_CONFIG_ARGV, "run config"),
+    ],
+    ids=["list-histogram", "list-config", "scalar-source", "list-geometry"],
+)
+def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    assert run([a.format(path=path, out=out) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: malformed {message}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--summary", "{summary}", "--detector", "0"],
+        ["fluct", "--mu-list", "0.2,0.4", "--detector", "5"],
+        ["sweep", "--detector", "7", "--out", "{out}"],
+    ],
+    ids=["estimate", "fluct", "sweep"],
+)
+def test_detector_outside_one_to_four_is_usage_error(tmp_path, capsys, argv):
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(SUMMARY))
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        run([a.format(summary=summary, out=out) for a in argv])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,7 +9,6 @@ import pytest
 
 from wcpstats.coincidence import (
     CoincidenceSummary,
-    DetectionPattern,
     PatternHistogram,
     TimestampRecord,
     conditional_coincidence,
@@ -54,25 +53,9 @@ def _random_eta(rng):
     return tuple(raw / raw.sum() * rng.uniform(0.2, 0.99))
 
 
-def test_pattern_round_trip():
-    for index in range(16):
-        pattern = DetectionPattern.from_index(index)
-        assert pattern.index == index
-        assert pattern.clicked == frozenset(
-            i + 1 for i in range(4) if index >> i & 1
-        )
-    with pytest.raises(ValueError):
-        DetectionPattern.from_index(16)
-
-
 def test_histogram_validation_and_merge():
     with pytest.raises(ValueError):
         PatternHistogram(counts=(1,) * 16, total_pulses=15)
-    a = _histogram({1: 3}, 10)
-    b = _histogram({2: 4}, 12)
-    merged = a + b
-    assert merged.total_pulses == 22
-    assert merged.counts[1] == 3 and merged.counts[2] == 4
 
 
 def test_histogram_requires_sixteen_integer_counts():
@@ -137,6 +120,18 @@ def test_summary_validation_rejects_inconsistency():
             subset_probs=summary.subset_probs,
             order_probs=(0.9, 0.5, 0.1, 0.0),
             total_pulses=1000,
+        )
+    # Within the consistency tolerance of the all-zero subsets, yet negative.
+    silent = observed_coincidences(_histogram({}, 1000))
+    with pytest.raises(ValueError, match="out of range"):
+        CoincidenceSummary(
+            subset_probs=silent.subset_probs,
+            order_probs=(0.0, 0.0, 0.0, -1e-13),
+            total_pulses=1000,
+        )
+    with pytest.raises(ValueError, match="need 4 order probabilities"):
+        CoincidenceSummary(
+            subset_probs=silent.subset_probs, order_probs=(0.0,), total_pulses=1000
         )
 
 

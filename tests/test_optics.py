@@ -9,7 +9,6 @@ from wcpstats.optics import (
     DetectionTree,
     EfficiencySet,
     branching_efficiencies,
-    overall_efficiencies,
     validate_efficiencies,
 )
 
@@ -66,7 +65,7 @@ def test_detector_order_relabels_branches():
 
 
 def test_uniform_overall_efficiencies():
-    eff = overall_efficiencies((0.25, 0.25, 0.25, 0.25), 1.0, 1.0)
+    eff = EfficiencySet(eta_b=(0.25, 0.25, 0.25, 0.25), eta_c=1.0, eta_d=1.0)
     assert eff.eta == (0.25, 0.25, 0.25, 0.25)
     assert eff.eta_bar == 0.25
     assert all(e == eff.eta_bar for e in eff.eta)
@@ -93,8 +92,8 @@ def test_per_arm_coupling():
 
 def test_permutation_symmetry():
     eta_b = (0.2, 0.25, 0.22, 0.18)
-    eff = overall_efficiencies(eta_b, 1.0, 0.65)
-    permuted = overall_efficiencies(eta_b[::-1], 1.0, 0.65)
+    eff = EfficiencySet(eta_b=eta_b, eta_c=1.0, eta_d=0.65)
+    permuted = EfficiencySet(eta_b=eta_b[::-1], eta_c=1.0, eta_d=0.65)
     assert permuted.eta == eff.eta[::-1]
     assert permuted.eta_bar == pytest.approx(eff.eta_bar, abs=1e-15)
 

@@ -21,7 +21,6 @@ from .bounds import (
 from .coincidence import (
     CoincidenceSummary,
     PatternHistogram,
-    TimestampRecord,
     conditional_coincidence,
     model_summary,
     observed_coincidences,
@@ -94,7 +93,6 @@ __all__ = [
     "SimConfig",
     "SourceDistribution",
     "SourceModel",
-    "TimestampRecord",
     "attenuation_for_target",
     "branching_efficiencies",
     "coherent_fock_probability",

@@ -123,9 +123,8 @@ def cmd_coincidence(args) -> int:
     else:
         if args.pulses is None:
             raise ValueError("--pulses is required when binning a timestamp stream")
-        records = read_timestamps_csv(args.timestamps)
         result = patterns_from_timestamps(
-            records,
+            read_timestamps_csv(args.timestamps),
             rep_period_ps=args.rep_period_ps,
             n_pulses=args.pulses,
             offset_ps=args.offset_ps,

@@ -32,6 +32,8 @@ from .optics import N_DETECTORS, validate_efficiencies
 DETECTORS = tuple(range(1, N_DETECTORS + 1))
 N_PATTERNS = 1 << N_DETECTORS
 ORDERS = (1, 2, 3, 4)
+# A time-tagger stream is a record array of this dtype, one row per click, sorted by time.
+TIMESTAMP_DTYPE = np.dtype([("channel", np.uint8), ("time_ps", np.int64)])
 
 _CONSISTENCY_TOL = 1e-12
 
@@ -87,20 +89,6 @@ class PatternHistogram:
             return cls(counts=data["counts"], total_pulses=data["total_pulses"])
         except TypeError as exc:
             raise ValueError(f"malformed pattern histogram: {exc}") from None
-
-
-@dataclass(frozen=True)
-class TimestampRecord:
-    """One detector event: channel index 1..4 and picoseconds since run start."""
-
-    channel: int
-    time_ps: int
-
-    def __post_init__(self) -> None:
-        if self.channel not in DETECTORS:
-            raise ValueError(f"channel must be in 1..{N_DETECTORS}, got {self.channel!r}")
-        if self.time_ps < 0:
-            raise ValueError(f"time_ps must be >= 0, got {self.time_ps!r}")
 
 
 @dataclass(frozen=True)
@@ -206,8 +194,17 @@ def observed_coincidences(hist: PatternHistogram) -> CoincidenceSummary:
     return _summary_from_patterns(hist.counts, hist.total_pulses)
 
 
+def _check_stream(channels: np.ndarray, times: np.ndarray) -> None:
+    """Reject a channel outside 1..4, or times that are negative or out of order."""
+    bad = (channels < 1) | (channels > N_DETECTORS)
+    if bad.any():
+        raise ValueError(f"channel must be in 1..{N_DETECTORS}, got {channels[bad][0]}")
+    if np.any(np.diff(times, prepend=0) < 0):
+        raise ValueError("time_ps must be >= 0 and sorted ascending")
+
+
 def patterns_from_timestamps(
-    records: Sequence[TimestampRecord],
+    records: np.ndarray,
     rep_period_ps: int,
     n_pulses: int,
     offset_ps: int = 0,
@@ -219,7 +216,8 @@ def patterns_from_timestamps(
     a detector's flag is set when at least one of its records lands in that
     period.  Records before the offset or at/after pulse ``n_pulses`` are
     discarded and counted.  ``window_ps`` optionally narrows the accepted
-    intra-period window (default: the full repetition period).
+    intra-period window (default: the full repetition period).  Memory
+    scales with the number of records, not with ``n_pulses``.
     """
     if rep_period_ps <= 0:
         raise ValueError(f"rep_period_ps must be > 0, got {rep_period_ps}")
@@ -228,25 +226,22 @@ def patterns_from_timestamps(
     if window_ps is not None and not 0 < window_ps <= rep_period_ps:
         raise ValueError(f"window_ps must be in (0, rep_period_ps], got {window_ps}")
 
-    channels = np.fromiter((rec.channel for rec in records), dtype=np.int64, count=len(records))
-    times = np.fromiter((rec.time_ps for rec in records), dtype=np.int64, count=len(records))
-    if times.size and np.any(np.diff(times) < 0):
-        raise ValueError("timestamp stream must be sorted by time")
+    channels, times = records["channel"], records["time_ps"]
+    _check_stream(channels, times)
 
     relative = times - int(offset_ps)
-    keep = relative >= 0
-    pulse_index = np.zeros_like(relative)
-    pulse_index[keep] = relative[keep] // rep_period_ps
-    keep &= pulse_index < n_pulses
+    period = relative // rep_period_ps
+    keep = (period >= 0) & (period < n_pulses)
     if window_ps is not None:
         keep &= (relative % rep_period_ps) < window_ps
     discarded = int(times.size - np.count_nonzero(keep))
 
-    patterns = np.zeros(n_pulses, dtype=np.uint8)
-    bits = (1 << (channels[keep] - 1)).astype(np.uint8)
-    np.bitwise_or.at(patterns, pulse_index[keep], bits)
-    counts = np.bincount(patterns, minlength=N_PATTERNS)
-    histogram = PatternHistogram(counts=tuple(int(c) for c in counts), total_pulses=n_pulses)
+    # The kept records are sorted, so each occupied period is one run of them.
+    starts = np.flatnonzero(np.diff(period[keep], prepend=-1))
+    patterns = np.bitwise_or.reduceat(1 << (channels[keep] - 1), starts)
+    counts = [int(c) for c in np.bincount(patterns, minlength=N_PATTERNS)]
+    counts[0] += n_pulses - len(starts)
+    histogram = PatternHistogram(counts=tuple(counts), total_pulses=n_pulses)
     return BinningResult(histogram=histogram, discarded=discarded)
 
 
@@ -340,20 +335,17 @@ def model_summary(mu: float, eta: Sequence[float], total_pulses: int) -> Coincid
 # File formats
 
 
-def write_timestamps_csv(path: str | Path, records: Sequence[TimestampRecord]) -> None:
+def write_timestamps_csv(path: str | Path, records: np.ndarray) -> None:
     """CSV with header ``channel,time_ps``, rows sorted by time ascending."""
-    rows = ["channel,time_ps"]
-    last = -1
-    for rec in records:
-        if rec.time_ps < last:
-            raise ValueError("records must be sorted by time_ps ascending")
-        last = rec.time_ps
-        rows.append(f"{rec.channel},{rec.time_ps}")
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    _check_stream(records["channel"], records["time_ps"])
+    rows = [f"{c},{t}" for c, t in zip(records["channel"].tolist(), records["time_ps"].tolist())]
+    write_text_atomic(path, "\n".join([",".join(TIMESTAMP_DTYPE.names), *rows]) + "\n")
 
 
-def read_timestamps_csv(path: str | Path) -> list[TimestampRecord]:
-    return read_int_csv(path, ("channel", "time_ps"), TimestampRecord)
+def read_timestamps_csv(path: str | Path) -> np.ndarray:
+    """A timestamp CSV as a record stream; a bad row's error names its line."""
+    table = read_int_csv(path, TIMESTAMP_DTYPE.names, _check_stream)
+    return np.rec.fromarrays(table.T, dtype=TIMESTAMP_DTYPE)
 
 
 def write_histogram_json(path: str | Path, hist: PatternHistogram, meta: dict | None = None) -> None:

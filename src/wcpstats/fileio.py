@@ -8,11 +8,12 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -42,19 +43,32 @@ def read_json(path: str | Path):
         return json.load(handle)
 
 
-def read_int_csv(path: str | Path, header: tuple[str, ...], make) -> list:
-    """``make(*row)`` for each row of an integer CSV; a bad row's error names its line."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        found = next(reader, None)
-        if found != list(header):
-            raise ValueError(f"{path}: expected CSV header {','.join(header)}, got {found}")
-        rows = []
-        for row in filter(None, reader):
+def read_int_csv(path: str | Path, header: tuple[str, ...], check=lambda *columns: None) -> np.ndarray:
+    """The rows of an integer CSV as one int64 table of shape (rows, len(header)).
+
+    Blank lines are skipped, and ``check(*columns)`` may reject values by
+    raising ValueError.  The body is parsed in one pass, and line by line
+    only when that fails, so that the error names the first bad line.
+    """
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[0].split(",") != list(header):
+        raise ValueError(f"{path}: expected CSV header {','.join(header)}, got {lines[0]!r}")
+    try:
+        return _int_table(list(filter(None, lines[1:])), len(header), check)
+    except (ValueError, OverflowError) as exc:
+        for number, line in enumerate(lines[1:], start=2):
             try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                rows.append(make(*map(int, row)))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-        return rows
+                _int_table([line] if line else [], len(header), check)
+            except (ValueError, OverflowError) as line_exc:
+                raise ValueError(f"{path}, line {number}: {line_exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _int_table(rows: list[str], width: int, check) -> np.ndarray:
+    # Count per row: a short row and a long row would balance out in a total.
+    if any(row.count(",") != width - 1 for row in rows):
+        raise ValueError(f"expected {width} fields per row")
+    fields = ",".join(rows).split(",") if rows else []
+    table = np.fromiter(map(int, fields), np.int64, len(fields)).reshape(-1, width)
+    check(*table.T)
+    return table

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coincidence import N_PATTERNS, PatternHistogram, TimestampRecord
+from .coincidence import N_PATTERNS, TIMESTAMP_DTYPE, PatternHistogram
 from .coincidence import click_probabilities, pattern_probabilities
 from .fileio import read_int_csv, write_text_atomic
 from .optics import EfficiencySet
@@ -198,9 +198,7 @@ def simulate_patterns(source: SourceModel, cfg: SimConfig) -> np.ndarray:
     return np.concatenate([_chunk_patterns(source, cfg, c) for c in _chunk_indices(cfg)])
 
 
-def simulate_timestamps(
-    source: SourceModel, cfg: SimConfig
-) -> tuple[list[TimestampRecord], PatternHistogram]:
+def simulate_timestamps(source: SourceModel, cfg: SimConfig) -> tuple[np.ndarray, PatternHistogram]:
     """Time-tagger record stream plus the ground-truth pattern histogram.
 
     Every click becomes one record at pulse_index * rep_period + the fixed
@@ -210,15 +208,14 @@ def simulate_timestamps(
     if not cfg.emit_timestamps:
         raise ValueError("emit_timestamps is not set on this configuration")
     counts = np.zeros(N_PATTERNS, dtype=np.int64)
-    records: list[TimestampRecord] = []
+    channels, times = [], []
     for chunk_index in _chunk_indices(cfg):
         patterns = _chunk_patterns(source, cfg, chunk_index)
         counts += np.bincount(patterns, minlength=N_PATTERNS)
         pulse_ix, det_ix = np.nonzero((patterns[:, None] >> np.arange(4)) & 1)
-        times = (chunk_index * CHUNK_SIZE + pulse_ix) * cfg.rep_period_ps + cfg.click_delay_ps
-        records.extend(
-            TimestampRecord(channel=int(d) + 1, time_ps=int(t)) for d, t in zip(det_ix, times)
-        )
+        channels.append(det_ix + 1)
+        times.append((chunk_index * CHUNK_SIZE + pulse_ix) * cfg.rep_period_ps + cfg.click_delay_ps)
+    records = np.rec.fromarrays([np.concatenate(channels), np.concatenate(times)], dtype=TIMESTAMP_DTYPE)
     histogram = PatternHistogram(counts=tuple(int(c) for c in counts), total_pulses=cfg.n_pulses)
     return records, histogram
 
@@ -260,5 +257,4 @@ def write_count_series_csv(path: str | Path, series: np.ndarray) -> None:
 
 
 def read_count_series_csv(path: str | Path) -> np.ndarray:
-    counts = read_int_csv(path, ("cycle_index", "counts"), lambda _, count: count)
-    return np.array(counts, dtype=np.int64)
+    return read_int_csv(path, ("cycle_index", "counts"))[:, 1]

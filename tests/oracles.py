@@ -156,6 +156,29 @@ def gaussian_overlap_closed_form(m1: float, s1: float, m2: float, s2: float) -> 
     )
 
 
+def bin_records(records, rep_period_ps: int, n_pulses: int, offset_ps: int = 0, window_ps=None):
+    """Pattern counts and the number of discarded records, one record at a time.
+
+    A record at time t belongs to pulse (t - offset) // period when that
+    pulse is one of 0..n_pulses-1 and, with a window, (t - offset) % period
+    is below it; any other record is discarded.
+    """
+    patterns: dict[int, int] = {}
+    discarded = 0
+    for record in records:
+        relative = int(record.time_ps) - offset_ps
+        pulse, phase = divmod(relative, rep_period_ps)
+        if relative < 0 or pulse >= n_pulses or (window_ps is not None and phase >= window_ps):
+            discarded += 1
+        else:
+            patterns[pulse] = patterns.get(pulse, 0) | 1 << (int(record.channel) - 1)
+    counts = [0] * 16
+    for pattern in patterns.values():
+        counts[pattern] += 1
+    counts[0] += n_pulses - len(patterns)
+    return counts, discarded
+
+
 def exhaustive_shape_moments(eta) -> list[float]:
     """s_j for j = 1..4 by direct subset enumeration."""
     eta = [float(x) for x in eta]

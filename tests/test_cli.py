@@ -243,8 +243,21 @@ TIMESTAMPS_ARGV = ["coincidence", "--timestamps", "{path}", "--pulses", "10", "-
         ("cycle_index,counts\n0,5\n1,x\n", SERIES_ARGV),
         ("channel,time_ps\n1,100\n2\n", TIMESTAMPS_ARGV),
         ("channel,time_ps\n1,100\n2,300,7\n", TIMESTAMPS_ARGV),
+        ("channel,time_ps\n1,100\n2\n300,4,500\n", TIMESTAMPS_ARGV),
+        ("channel,time_ps\n1,100\n9,300\n", TIMESTAMPS_ARGV),
+        ("channel,time_ps\n1,100\n2,-5\n", TIMESTAMPS_ARGV),
+        ("channel,time_ps\n1,100\n2,x\n", TIMESTAMPS_ARGV),
     ],
-    ids=["series-short-row", "series-bad-count", "timestamps-short-row", "timestamps-long-row"],
+    ids=[
+        "series-short-row",
+        "series-bad-count",
+        "timestamps-short-row",
+        "timestamps-long-row",
+        "timestamps-short-then-long-row",
+        "timestamps-bad-channel",
+        "timestamps-negative-time",
+        "timestamps-bad-time",
+    ],
 )
 def test_malformed_csv_row_exits_one_naming_the_line(tmp_path, capsys, text, argv):
     path = tmp_path / "input.csv"

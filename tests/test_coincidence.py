@@ -10,7 +10,6 @@ import pytest
 from wcpstats.coincidence import (
     CoincidenceSummary,
     PatternHistogram,
-    TimestampRecord,
     conditional_coincidence,
     model_subset_probability,
     model_summary,
@@ -28,6 +27,7 @@ from wcpstats.coincidence import (
 )
 
 from oracles import (
+    bin_records,
     coincidence_series,
     dark_count_fold,
     poisson_term,
@@ -46,6 +46,14 @@ def _histogram(counts_by_pattern, total):
         counts[pattern] = count
     counts[0] = total - sum(counts)
     return PatternHistogram(counts=tuple(counts), total_pulses=total)
+
+
+def _stream(*rows):
+    """Record stream of (channel, time_ps) rows."""
+    channels, times = zip(*rows) if rows else ((), ())
+    return np.rec.fromarrays(
+        [np.array(channels, np.uint8), np.array(times, np.int64)], names="channel,time_ps"
+    )
 
 
 def _random_eta(rng):
@@ -253,27 +261,20 @@ def test_model_summary_consistent_with_closed_form():
 
 
 def test_empty_stream_bins_to_silence():
-    result = patterns_from_timestamps([], rep_period_ps=800_000, n_pulses=100)
+    result = patterns_from_timestamps(_stream(), rep_period_ps=800_000, n_pulses=100)
     assert result.histogram.counts[0] == 100
     assert result.discarded == 0
 
 
 def test_two_records_same_period():
-    records = [
-        TimestampRecord(channel=1, time_ps=100_000),
-        TimestampRecord(channel=3, time_ps=200_000),
-    ]
+    records = _stream((1, 100_000), (3, 200_000))
     result = patterns_from_timestamps(records, rep_period_ps=800_000, n_pulses=5)
     assert result.histogram.counts[0b0101] == 1
     assert result.histogram.counts[0] == 4
 
 
 def test_binning_rejects_out_of_range_records():
-    records = [
-        TimestampRecord(channel=1, time_ps=50),
-        TimestampRecord(channel=2, time_ps=900_000),
-        TimestampRecord(channel=1, time_ps=10_000_000),
-    ]
+    records = _stream((1, 50), (2, 900_000), (1, 10_000_000))
     result = patterns_from_timestamps(
         records, rep_period_ps=800_000, n_pulses=3, offset_ps=100
     )
@@ -283,7 +284,7 @@ def test_binning_rejects_out_of_range_records():
 
 
 def test_binning_window_option():
-    records = [TimestampRecord(channel=1, time_ps=700_000)]
+    records = _stream((1, 700_000))
     wide = patterns_from_timestamps(records, rep_period_ps=800_000, n_pulses=1)
     assert wide.histogram.counts[1] == 1
     narrow = patterns_from_timestamps(
@@ -294,12 +295,46 @@ def test_binning_window_option():
 
 
 def test_unsorted_stream_rejected():
-    records = [
-        TimestampRecord(channel=1, time_ps=10),
-        TimestampRecord(channel=1, time_ps=5),
-    ]
+    records = _stream((1, 10), (1, 5))
     with pytest.raises(ValueError):
         patterns_from_timestamps(records, rep_period_ps=100, n_pulses=1)
+
+
+@pytest.mark.parametrize("channel", [0, 5, 9])
+def test_binning_rejects_out_of_range_channel(channel):
+    with pytest.raises(ValueError, match="channel must be in 1..4"):
+        patterns_from_timestamps(_stream((1, 10), (channel, 20)), rep_period_ps=100, n_pulses=1)
+
+
+def _random_stream(rng, n_records, span_ps):
+    times = np.sort(rng.integers(0, span_ps, size=n_records))
+    # Repeat some times so several records share a period and even a time.
+    times[1::3] = times[0:-1:3][: len(times[1::3])]
+    return _stream(*zip(rng.integers(1, 5, size=n_records).tolist(), times.tolist()))
+
+
+@pytest.mark.parametrize("seed, n_records", [(0, 0), (1, 1), (2, 40), (3, 40), (4, 400), (5, 400)])
+def test_binning_matches_record_loop_oracle(seed, n_records):
+    rng = np.random.default_rng([47, seed])
+    period = int(rng.integers(50, 1_000))
+    n_pulses = int(rng.integers(1, 200))
+    # Records run from before the offset to past the last pulse.
+    records = _random_stream(rng, n_records, (n_pulses + 20) * period)
+    for offset_ps in (0, int(rng.integers(1, 10 * period))):
+        for window_ps in (None, period, int(rng.integers(1, period)), 1):
+            result = patterns_from_timestamps(records, period, n_pulses, offset_ps, window_ps)
+            counts, discarded = bin_records(records, period, n_pulses, offset_ps, window_ps)
+            assert list(result.histogram.counts) == counts
+            assert result.discarded == discarded
+
+
+def test_binning_memory_does_not_scale_with_pulses():
+    records = _stream((1, 100), (4, 5 * 10**17), (3, 8 * 10**17 + 5))
+    result = patterns_from_timestamps(records, rep_period_ps=800_000, n_pulses=10**12)
+    occupied = 2  # periods 0 and 625_000_000_000
+    assert result.histogram.counts[0] == 10**12 - occupied
+    assert result.histogram.counts[0b0001] == 1 and result.histogram.counts[0b1000] == 1
+    assert result.discarded == 1  # 8e17 ps is period 1e12, one past the last pulse
 
 
 def test_histogram_json_round_trip(tmp_path):
@@ -320,12 +355,8 @@ def test_summary_json_round_trip(tmp_path):
 
 
 def test_timestamp_csv_round_trip(tmp_path):
-    records = [
-        TimestampRecord(channel=1, time_ps=100),
-        TimestampRecord(channel=4, time_ps=100),
-        TimestampRecord(channel=2, time_ps=900),
-    ]
+    records = _stream((1, 100), (4, 100), (2, 900))
     path = tmp_path / "stamps.csv"
     write_timestamps_csv(path, records)
-    assert read_timestamps_csv(path) == records
+    assert np.array_equal(read_timestamps_csv(path), records)
     assert path.read_text().splitlines()[0] == "channel,time_ps"

@@ -42,7 +42,6 @@ from .leakage import (
     SourceDistribution,
     cross_correlation,
     fit_fluctuation,
-    gaussian_distribution,
     info_leakage,
     leakage_difference,
     pairwise_leakage,
@@ -66,7 +65,6 @@ from .simulator import (
 )
 from .stats import (
     AttenuationSpec,
-    PhotonNumberDistribution,
     attenuation_for_target,
     coherent_fock_probability,
     desired_mean_photon,
@@ -88,7 +86,6 @@ __all__ = [
     "MuEstimate",
     "PatternHistogram",
     "PhotonNumberBounds",
-    "PhotonNumberDistribution",
     "ShapeFactors",
     "SimConfig",
     "SourceDistribution",
@@ -103,7 +100,6 @@ __all__ = [
     "estimate_mu_single",
     "evaluate_bounds",
     "fit_fluctuation",
-    "gaussian_distribution",
     "info_leakage",
     "leakage_difference",
     "method_difference_sweep",

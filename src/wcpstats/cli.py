@@ -40,8 +40,8 @@ from .estimation import (
 )
 from .fileio import read_json, write_json_atomic
 from .leakage import (
+    SourceDistribution,
     fit_fluctuation,
-    gaussian_distribution,
     info_leakage,
     leakage_difference,
     pairwise_leakage,
@@ -205,7 +205,7 @@ def cmd_leakage(args) -> int:
         distributions = {}
         for spec in args.source:
             label, mean, sigma = _parse_source_spec(spec)
-            distributions[label] = gaussian_distribution(mean, sigma)
+            distributions[label] = SourceDistribution(mean=mean, sigma=sigma)
         reports = pairwise_reports(distributions)
         for report in reports:
             lines.append(
@@ -298,8 +298,7 @@ def cmd_sweep(args) -> int:
         detector=args.detector,
         rep_rate=config.rep_rate_hz,
     )
-    delta_leakage = [leakage_difference(r.mu_method2, r.mu_method1) for r in rows]
-    write_sweep_csv(_out_path(args.out), rows, extra_columns={"delta_I": delta_leakage})
+    write_sweep_csv(_out_path(args.out), rows)
     print(
         f"sweep: {len(rows)} points over mu {args.mu_min}..{args.mu_max}, "
         f"{args.pulses} pulses each (seed {args.seed}) -> {args.out}"

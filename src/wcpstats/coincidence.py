@@ -219,8 +219,10 @@ def patterns_from_timestamps(
     intra-period window (default: the full repetition period).  Memory
     scales with the number of records, not with ``n_pulses``.
     """
-    if rep_period_ps <= 0:
-        raise ValueError(f"rep_period_ps must be > 0, got {rep_period_ps}")
+    if not 0 < rep_period_ps < 2**63:
+        raise ValueError(f"rep_period_ps must be > 0 and fit in int64, got {rep_period_ps}")
+    if not -(2**63) <= offset_ps < 2**63:
+        raise ValueError(f"offset_ps must fit in int64, got {offset_ps}")
     if n_pulses <= 0:
         raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
     if window_ps is not None and not 0 < window_ps <= rep_period_ps:
@@ -229,15 +231,18 @@ def patterns_from_timestamps(
     channels, times = records["channel"], records["time_ps"]
     _check_stream(channels, times)
 
-    relative = times - int(offset_ps)
-    period = relative // rep_period_ps
-    keep = (period >= 0) & (period < n_pulses)
+    # The offset's whole periods are compared, not subtracted, so no int64 overflows.
+    quotient, remainder = divmod(int(offset_ps), rep_period_ps)
+    shifted = times - remainder
+    period = shifted // rep_period_ps
+    keep = (period >= quotient) & (period < quotient + n_pulses)
     if window_ps is not None:
-        keep &= (relative % rep_period_ps) < window_ps
+        keep &= (shifted % rep_period_ps) < window_ps
     discarded = int(times.size - np.count_nonzero(keep))
 
     # The kept records are sorted, so each occupied period is one run of them.
-    starts = np.flatnonzero(np.diff(period[keep], prepend=-1))
+    kept = period[keep]
+    starts = np.flatnonzero(np.diff(kept, prepend=kept[:1] - 1))
     patterns = np.bitwise_or.reduceat(1 << (channels[keep] - 1), starts)
     counts = [int(c) for c in np.bincount(patterns, minlength=N_PATTERNS)]
     counts[0] += n_pulses - len(starts)
@@ -248,22 +253,24 @@ def patterns_from_timestamps(
 def conditional_coincidence(n: int, r: int, eta: Sequence[float]) -> float:
     """Order-averaged r-fold coincidence probability given an n-photon pulse.
 
-    Inclusion-exclusion over detector subsets: sum over j = 0..r of
-    (-1)^j * C(4-j, r-j)/C(4, r) * sum over |W| = j of (1 - sum_{i in W} eta_i)^n.
+    Photons are routed one at a time over the 16 click patterns, each to
+    detector i with probability eta_i or lost.  Only positive terms are
+    added, so small probabilities keep their relative precision.
     """
     eta = validate_efficiencies(eta)
     if n < 0 or int(n) != n:
         raise ValueError(f"photon count must be a non-negative integer, got {n!r}")
     if r not in ORDERS:
         raise ValueError(f"coincidence order must be in 1..4, got {r}")
-    n = int(n)
-    total = 0.0
-    for j in range(r + 1):
-        inner = math.fsum(
-            (1.0 - math.fsum(eta[i - 1] for i in w)) ** n for w in subsets_of_order(j)
-        )
-        total += (-1) ** j * comb(N_DETECTORS - j, r - j) / comb(N_DETECTORS, r) * inner
-    return total
+    lost = 1.0 - math.fsum(eta)
+    weights = [1.0] + [0.0] * (N_PATTERNS - 1)
+    for _ in range(int(n)):
+        routed = [lost * w for w in weights]
+        for i, e in enumerate(eta):
+            for m, w in enumerate(weights):
+                routed[m | 1 << i] += e * w
+        weights = routed
+    return _summary_from_patterns(weights, 1).order_probs[r - 1]
 
 
 def click_probabilities(mu, eta: Sequence[float], dark_rate: float = 0.0):

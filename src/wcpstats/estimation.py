@@ -10,16 +10,16 @@ least squares over all coincidence orders.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .coincidence import ORDERS, CoincidenceSummary, observed_coincidences, poisson_coincidence_model
 from .fileio import write_text_atomic
+from .leakage import leakage_difference
 from .optics import EfficiencySet, validate_efficiencies
 from .stats import chi_square_quantile
 
@@ -206,7 +206,7 @@ def poissonity_test(
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One grid point of the method-comparison sweep (delta = rigorous - single)."""
+    """One grid point of the method-comparison sweep (deltas = rigorous - single)."""
 
     mu_true: float
     mu_method1: float
@@ -215,6 +215,7 @@ class SweepPoint:
     residual: float
     pulses: int
     seed: int
+    delta_I: float
 
 
 def point_seed(seed: int, index: int) -> int:
@@ -260,36 +261,19 @@ def method_difference_sweep(
                 residual=rigorous.residual,
                 pulses=pulses_per_point,
                 seed=sub_seed,
+                delta_I=leakage_difference(rigorous.mu_hat, single.mu_hat),
             )
         )
     return rows
 
 
-_SWEEP_COLUMNS = ("mu_true", "mu_method1", "mu_method2", "delta_mu", "residual", "pulses", "seed")
+_SWEEP_COLUMNS = ("mu_true", "mu_method1", "mu_method2", "delta_mu", "residual", "pulses", "seed", "delta_I")
 
 
-def write_sweep_csv(
-    path: str | Path,
-    rows: Sequence[SweepPoint],
-    extra_columns: Mapping[str, Sequence[float]] | None = None,
-) -> None:
-    """Sweep results as CSV; ``extra_columns`` appends derived per-point values."""
-    extra = dict(extra_columns or {})
-    for name, values in extra.items():
-        if len(values) != len(rows):
-            raise ValueError(f"extra column {name!r} has {len(values)} values for {len(rows)} rows")
-    header = list(_SWEEP_COLUMNS) + list(extra)
-    lines = [",".join(header)]
-    for i, row in enumerate(rows):
-        cells = []
-        for column in _SWEEP_COLUMNS:
-            value = getattr(row, column)
-            cells.append(str(value) if isinstance(value, int) else repr(float(value)))
-        cells += [repr(float(extra[name][i])) for name in extra]
-        lines.append(",".join(cells))
+def write_sweep_csv(path: str | Path, rows: Sequence[SweepPoint]) -> None:
+    """Sweep results as CSV, one row per grid point."""
+    lines = [",".join(_SWEEP_COLUMNS)]
+    for row in rows:
+        values = (getattr(row, column) for column in _SWEEP_COLUMNS)
+        lines.append(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in values))
     write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def read_sweep_csv(path: str | Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return [dict(row) for row in csv.DictReader(handle)]

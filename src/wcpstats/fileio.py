@@ -48,7 +48,8 @@ def read_int_csv(path: str | Path, header: tuple[str, ...], check=lambda *column
 
     Blank lines are skipped, and ``check(*columns)`` may reject values by
     raising ValueError.  The body is parsed in one pass, and line by line
-    only when that fails, so that the error names the first bad line.
+    only when that fails, so that the error names the first bad line (each
+    line with the one before it, so that rows out of order are named too).
     """
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines[0].split(",") != list(header):
@@ -56,11 +57,14 @@ def read_int_csv(path: str | Path, header: tuple[str, ...], check=lambda *column
     try:
         return _int_table(list(filter(None, lines[1:])), len(header), check)
     except (ValueError, OverflowError) as exc:
+        previous = []
         for number, line in enumerate(lines[1:], start=2):
-            try:
-                _int_table([line] if line else [], len(header), check)
-            except (ValueError, OverflowError) as line_exc:
-                raise ValueError(f"{path}, line {number}: {line_exc}") from None
+            if line:
+                try:
+                    _int_table(previous + [line], len(header), check)
+                except (ValueError, OverflowError) as line_exc:
+                    raise ValueError(f"{path}, line {number}: {line_exc}") from None
+                previous = [line]
         raise ValueError(f"{path}: {exc}") from None
 
 

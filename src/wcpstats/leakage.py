@@ -145,14 +145,9 @@ class SourceDistribution:
         return normal_cdf(-self.mean / self.sigma)
 
 
-def gaussian_distribution(mean: float, sigma: float) -> SourceDistribution:
-    """Gaussian count distribution truncated at zero."""
-    return SourceDistribution(mean=float(mean), sigma=float(sigma))
-
-
 def source_distribution_at(fit: FluctuationFit, mu: float) -> SourceDistribution:
     """Count distribution the fitted fluctuation model predicts at ``mu``."""
-    return gaussian_distribution(mu, fit.sigma(mu))
+    return SourceDistribution(mean=float(mu), sigma=float(fit.sigma(mu)))
 
 
 def _positive_overlap(d_i: SourceDistribution, d_j: SourceDistribution) -> float:

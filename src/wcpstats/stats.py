@@ -6,8 +6,8 @@ is the single parameter that fixes the whole distribution.  This module
 collects the closed-form pieces: the Fock-basis overlap of a coherent
 state, the Poisson pmf itself, attenuation planning (choosing a neutral
 density filter to hit a target ``mu``), the multi-photon probability, and
-the three special functions the package needs (the normal CDF, the Poisson
-tail and the chi-square quantile), written with the standard library alone.
+the two special functions the package needs (the normal CDF and the
+chi-square quantile), written with the standard library alone.
 
 All functions are pure and stateless.
 """
@@ -55,22 +55,6 @@ def poisson_pmf(mu: float, n: int) -> float:
     if n <= _DIRECT_EVAL_MAX_N:
         return math.exp(-mu) * mu**n / math.factorial(n)
     return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
-
-
-def poisson_tail(mu: float, n: int) -> float:
-    """P(N > n) for a Poisson photon number N of mean ``mu``.
-
-    Summed as positive terms upward from p_{n+1}; each term is the last
-    one times mu / k, so once k exceeds mu the terms fall geometrically.
-    """
-    total = 0.0
-    k = n + 1
-    term = poisson_pmf(mu, k)
-    while total + term != total:
-        total += term
-        k += 1
-        term *= mu / k
-    return total
 
 
 def normal_cdf(x: float) -> float:
@@ -216,54 +200,3 @@ def attenuation_for_target(
             "a neutral density filter can only attenuate"
         )
     return math.log10(unattenuated / target_mu)
-
-
-@dataclass(frozen=True)
-class PhotonNumberDistribution:
-    """Tabulated Poisson photon-number distribution with explicit tail mass.
-
-    ``probs[n]`` holds p_n for n = 0 .. n_max and ``tail`` carries the
-    remaining mass above n_max, so the stored numbers always account for
-    the full distribution and normalization stays testable.
-    """
-
-    mu: float
-    n_max: int
-    probs: tuple[float, ...]
-    tail: float
-
-    _NORMALIZATION_TOL = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be > 0, got {self.mu!r}")
-        if self.n_max < 0 or len(self.probs) != self.n_max + 1:
-            raise ValueError("probs must hold exactly n_max + 1 entries")
-        if not (0.0 <= self.tail <= 1.0):
-            raise ValueError(f"tail mass out of range: {self.tail!r}")
-        for n, p in enumerate(self.probs):
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"p_{n} out of range: {p!r}")
-            if abs(p - poisson_pmf(self.mu, n)) > self._NORMALIZATION_TOL:
-                raise ValueError(f"p_{n} inconsistent with mean {self.mu}")
-        total = math.fsum(self.probs) + self.tail
-        if abs(total - 1.0) > self._NORMALIZATION_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-
-    @classmethod
-    def from_mu(cls, mu: float, n_max: int | None = None) -> "PhotonNumberDistribution":
-        mu = _check_mu(mu)
-        if mu == 0.0:
-            raise ValueError("mu must be > 0 for a tabulated distribution")
-        if n_max is None:
-            # 64 covers mu <= 2 with tail below 1e-50; wider means grow the table.
-            n_max = 64 if mu <= 2.0 else max(64, math.ceil(mu + 15.0 * math.sqrt(mu) + 20.0))
-        probs = tuple(poisson_pmf(mu, n) for n in range(n_max + 1))
-        tail = poisson_tail(mu, n_max)
-        return cls(mu=mu, n_max=n_max, probs=probs, tail=tail)
-
-    def probability(self, n: int) -> float:
-        n = _check_count(n)
-        if n <= self.n_max:
-            return self.probs[n]
-        return poisson_pmf(self.mu, n)

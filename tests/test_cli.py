@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -8,7 +9,6 @@ import pytest
 
 from wcpstats.cli import main
 from wcpstats.coincidence import read_summary_json
-from wcpstats.estimation import read_sweep_csv
 from wcpstats.fileio import read_json
 
 
@@ -166,7 +166,7 @@ def test_sweep_csv_columns(tmp_path):
         ["sweep", "--mu-min", "0.3", "--mu-max", "0.9", "--steps", "3",
          "--pulses", "50000", "--seed", "7", "--out", out_path]
     ) == 0
-    rows = read_sweep_csv(out_path)
+    rows = list(csv.DictReader(out_path.read_text().splitlines()))
     assert len(rows) == 3
     assert list(rows[0]) == [
         "mu_true", "mu_method1", "mu_method2", "delta_mu", "residual",
@@ -223,13 +223,24 @@ def test_unknown_flag_exits_with_usage_error():
     assert exc.value.code == 2
 
 
-def test_bad_values_exit_one(tmp_path, capsys):
-    code = run(
-        ["simulate", "--mu", "-1", "--pulses", "100", "--seed", "1",
-         "--out-histogram", tmp_path / "x.json"]
-    )
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--mu", "-1", "--pulses", "100", "--seed", "1", "--out-histogram", "{out}"],
+        ["coincidence", "--timestamps", "{csv}", "--pulses", "10",
+         "--offset-ps", "100000000000000000000", "--out", "{out}"],
+        ["coincidence", "--timestamps", "{csv}", "--pulses", "10",
+         "--rep-period-ps", "100000000000000000000", "--out", "{out}"],
+    ],
+    ids=["negative-mu", "huge-offset", "huge-rep-period"],
+)
+def test_bad_values_exit_one(tmp_path, capsys, argv):
+    path = tmp_path / "input.csv"
+    path.write_text("channel,time_ps\n1,100\n2,300\n")
+    out = tmp_path / "x.json"
+    assert run([a.format(csv=path, out=out) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 SERIES_ARGV = ["fluct", "--series", "0.3={path}"]
@@ -247,6 +258,7 @@ TIMESTAMPS_ARGV = ["coincidence", "--timestamps", "{path}", "--pulses", "10", "-
         ("channel,time_ps\n1,100\n9,300\n", TIMESTAMPS_ARGV),
         ("channel,time_ps\n1,100\n2,-5\n", TIMESTAMPS_ARGV),
         ("channel,time_ps\n1,100\n2,x\n", TIMESTAMPS_ARGV),
+        ("channel,time_ps\n1,100\n2,50\n", TIMESTAMPS_ARGV),
     ],
     ids=[
         "series-short-row",
@@ -257,6 +269,7 @@ TIMESTAMPS_ARGV = ["coincidence", "--timestamps", "{path}", "--pulses", "10", "-
         "timestamps-bad-channel",
         "timestamps-negative-time",
         "timestamps-bad-time",
+        "timestamps-out-of-order",
     ],
 )
 def test_malformed_csv_row_exits_one_naming_the_line(tmp_path, capsys, text, argv):

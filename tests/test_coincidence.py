@@ -180,6 +180,20 @@ def test_conditional_matches_exhaustive_enumeration():
                 )
 
 
+@pytest.mark.parametrize(
+    "eta",
+    [(1e-2,) * 4, (1e-3,) * 4, (1e-4,) * 4, (0.05, 1e-2, 1e-3, 1e-4)],
+    ids=["uniform-1e-2", "uniform-1e-3", "uniform-1e-4", "skewed"],
+)
+def test_conditional_keeps_relative_precision_at_small_eta(eta):
+    # An n-fold coincidence scales like eta^n, so a cancelling sum of O(1)
+    # terms loses its relative precision as eta falls.
+    for n in range(7):
+        for r in (1, 2, 3, 4):
+            expected = routing_order_average(n, r, eta)
+            assert conditional_coincidence(n, r, eta) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_model_zero_mean_gives_zero():
     assert poisson_coincidence_model(0.0, TABLE_ETA) == pytest.approx(
         (0.0, 0.0, 0.0, 0.0), abs=1e-15
@@ -326,6 +340,17 @@ def test_binning_matches_record_loop_oracle(seed, n_records):
             counts, discarded = bin_records(records, period, n_pulses, offset_ps, window_ps)
             assert list(result.histogram.counts) == counts
             assert result.discarded == discarded
+
+
+@pytest.mark.parametrize("offset_ps", [-(2**63), -(2**63) + 1, 2**63 - 1])
+def test_binning_offset_at_int64_limits_matches_oracle(offset_ps):
+    # time - offset exceeds int64 here; the binning must not wrap around.
+    records = _stream((1, 100), (2, 300), (3, 2**62), (4, 2**63 - 1))
+    for n_pulses in (10, 2 * 10**13, 10**20):
+        result = patterns_from_timestamps(records, 800_000, n_pulses, offset_ps)
+        counts, discarded = bin_records(records, 800_000, n_pulses, offset_ps)
+        assert list(result.histogram.counts) == counts
+        assert result.discarded == discarded
 
 
 def test_binning_memory_does_not_scale_with_pulses():

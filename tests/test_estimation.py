@@ -1,5 +1,6 @@
 """Tests for the single-detector and rigorous mean-photon-number estimators."""
 
+import csv
 import math
 
 import numpy as np
@@ -16,9 +17,9 @@ from wcpstats.estimation import (
     method_difference_sweep,
     point_seed,
     poissonity_test,
-    read_sweep_csv,
     write_sweep_csv,
 )
+from wcpstats.leakage import leakage_difference
 from wcpstats.simulator import SimConfig, SourceModel, simulate_pulses
 
 EFF = default_efficiency_set()
@@ -187,10 +188,11 @@ def test_sweep_smoke_and_csv(tmp_path):
     for row in rows:
         assert row.mu_method1 < row.mu_method2  # single method reads low
         assert row.delta_mu == pytest.approx(row.mu_method2 - row.mu_method1, abs=1e-15)
+        assert row.delta_I == leakage_difference(row.mu_method2, row.mu_method1)
 
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, rows, extra_columns={"delta_I": [0.1, 0.2, 0.3]})
-    loaded = read_sweep_csv(path)
+    write_sweep_csv(path, rows)
+    loaded = list(csv.DictReader(path.read_text().splitlines()))
     assert len(loaded) == 3
     assert list(loaded[0]) == [
         "mu_true",
@@ -203,6 +205,7 @@ def test_sweep_smoke_and_csv(tmp_path):
         "delta_I",
     ]
     assert float(loaded[1]["mu_method2"]) == pytest.approx(rows[1].mu_method2, abs=1e-15)
+    assert float(loaded[1]["delta_I"]) == rows[1].delta_I
 
 
 def test_method_gap_vanishes_at_small_mu():

@@ -8,9 +8,9 @@ import pytest
 from wcpstats.fileio import read_json
 from wcpstats.leakage import (
     FluctuationFit,
+    SourceDistribution,
     cross_correlation,
     fit_fluctuation,
-    gaussian_distribution,
     info_leakage,
     leakage_difference,
     pairwise_leakage,
@@ -128,7 +128,7 @@ def test_fit_validation():
 
 
 def test_distribution_truncated_mass_matches_normal_cdf():
-    dist = gaussian_distribution(mean=1.0, sigma=0.6)
+    dist = SourceDistribution(mean=1.0, sigma=0.6)
     assert dist.truncated_mass == pytest.approx(normal_cdf(-1.0 / 0.6), abs=1e-9)
 
 
@@ -145,19 +145,19 @@ def test_distribution_from_fit():
 
 
 def test_identical_distributions_fully_correlated():
-    dist = gaussian_distribution(mean=50.0, sigma=4.0)
+    dist = SourceDistribution(mean=50.0, sigma=4.0)
     assert cross_correlation(dist, dist) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_separated_distributions_uncorrelated():
-    a = gaussian_distribution(mean=100.0, sigma=2.0)
-    b = gaussian_distribution(mean=200.0, sigma=2.0)
+    a = SourceDistribution(mean=100.0, sigma=2.0)
+    b = SourceDistribution(mean=200.0, sigma=2.0)
     assert cross_correlation(a, b) < 1e-6
 
 
 def test_cross_correlation_matches_closed_form():
-    a = gaussian_distribution(mean=100.0, sigma=10.0)
-    b = gaussian_distribution(mean=105.0, sigma=12.0)
+    a = SourceDistribution(mean=100.0, sigma=10.0)
+    b = SourceDistribution(mean=105.0, sigma=12.0)
     expected = gaussian_overlap_closed_form(100.0, 10.0, 105.0, 12.0)
     assert cross_correlation(a, b) == pytest.approx(expected, abs=1e-6)
 
@@ -168,15 +168,15 @@ def test_cross_correlation_matches_closed_form():
 )
 def test_cross_correlation_matches_quadrature_near_truncation(first, second):
     # Means within a few sigma of zero: the truncation at zero shapes R.
-    a = gaussian_distribution(*first)
-    b = gaussian_distribution(*second)
+    a = SourceDistribution(*first)
+    b = SourceDistribution(*second)
     expected = truncated_overlap_quad(*first, *second)
     assert cross_correlation(a, b) == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
 def test_cross_correlation_symmetric():
-    a = gaussian_distribution(mean=80.0, sigma=9.0)
-    b = gaussian_distribution(mean=95.0, sigma=11.0)
+    a = SourceDistribution(mean=80.0, sigma=9.0)
+    b = SourceDistribution(mean=95.0, sigma=11.0)
     assert cross_correlation(a, b) == cross_correlation(b, a)
 
 
@@ -198,7 +198,7 @@ def test_pairwise_leakage_limits_and_monotonicity():
 
 
 def test_report_for_identical_pair_leaks_nothing():
-    dist = gaussian_distribution(mean=60.0, sigma=5.0)
+    dist = SourceDistribution(mean=60.0, sigma=5.0)
     report = report_for_pair("S1", "S2", dist, dist)
     assert report.pair == "S1&S2"
     assert report.correlation == pytest.approx(1.0, abs=1e-9)
@@ -207,10 +207,10 @@ def test_report_for_identical_pair_leaks_nothing():
 
 def test_pairwise_reports_cover_all_pairs():
     distributions = {
-        "S1": gaussian_distribution(60.0, 5.0),
-        "S2": gaussian_distribution(61.0, 5.5),
-        "S3": gaussian_distribution(63.0, 6.0),
-        "S4": gaussian_distribution(60.5, 5.2),
+        "S1": SourceDistribution(mean=60.0, sigma=5.0),
+        "S2": SourceDistribution(mean=61.0, sigma=5.5),
+        "S3": SourceDistribution(mean=63.0, sigma=6.0),
+        "S4": SourceDistribution(mean=60.5, sigma=5.2),
     }
     reports = pairwise_reports(distributions)
     assert [r.pair for r in reports] == [
@@ -228,8 +228,8 @@ def test_pairwise_reports_cover_all_pairs():
 
 def test_leakage_report_json(tmp_path):
     distributions = {
-        "S1": gaussian_distribution(60.0, 5.0),
-        "S2": gaussian_distribution(62.0, 5.5),
+        "S1": SourceDistribution(mean=60.0, sigma=5.0),
+        "S2": SourceDistribution(mean=62.0, sigma=5.5),
     }
     reports = pairwise_reports(distributions)
     path = tmp_path / "leakage.json"

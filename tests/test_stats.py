@@ -1,17 +1,15 @@
 """Tests for the closed-form photon-statistics module."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
-from scipy.special import chdtri, gammainc, ndtr
+from scipy.special import chdtri, ndtr
 
 from wcpstats.stats import (
     PLANCK_CONSTANT,
     SPEED_OF_LIGHT,
     AttenuationSpec,
-    PhotonNumberDistribution,
     attenuation_for_target,
     chi_square_quantile,
     coherent_fock_probability,
@@ -19,7 +17,6 @@ from wcpstats.stats import (
     multi_photon_probability,
     normal_cdf,
     poisson_pmf,
-    poisson_tail,
 )
 
 from oracles import poisson_term
@@ -127,25 +124,6 @@ def test_attenuation_spec_validation():
         AttenuationSpec(1e-3, 1.25e6, 808e-9, optical_density=-1.0)
 
 
-def test_distribution_tabulation():
-    dist = PhotonNumberDistribution.from_mu(0.5)
-    assert dist.n_max == 64
-    assert dist.probs[0] == pytest.approx(E_MINUS_HALF, abs=1e-15)
-    assert abs(math.fsum(dist.probs) + dist.tail - 1.0) <= 1e-12
-    assert dist.probability(2) == poisson_pmf(0.5, 2)
-    assert dist.probability(70) == poisson_pmf(0.5, 70)
-
-
-def test_distribution_rejects_inconsistent_probs():
-    dist = PhotonNumberDistribution.from_mu(0.5, n_max=8)
-    bad = list(dist.probs)
-    bad[3] += 1e-6
-    with pytest.raises(ValueError):
-        PhotonNumberDistribution(mu=0.5, n_max=8, probs=tuple(bad), tail=dist.tail)
-    with pytest.raises(ValueError):
-        PhotonNumberDistribution.from_mu(0.0)
-
-
 @pytest.mark.parametrize("dof", [1, 2, 3])
 def test_chi_square_quantile_matches_scipy(dof):
     percentiles = np.concatenate([np.linspace(0.5, 0.999, 50), [0.9999, 0.99999, 0.999999]])
@@ -164,17 +142,3 @@ def test_normal_cdf_matches_scipy():
     # Rounding x / sqrt(2) costs ~x^2 ulp of relative precision at x = -30.
     for x in np.linspace(-30.0, 8.0, 3801):
         assert normal_cdf(float(x)) == pytest.approx(ndtr(x), rel=5e-13)
-
-
-def test_poisson_tail_matches_scipy():
-    # P(N > n) = gammainc(n + 1, mu); the log-space first term costs
-    # ~n ln(n) ulp, and gammainc itself is good to ~1e-13 here.
-    checked = 0
-    for mu in np.geomspace(1e-4, 50.0, 60):
-        mu = float(mu)
-        for n in [*range(0, 80, 3), PhotonNumberDistribution.from_mu(mu).n_max]:
-            expected = gammainc(n + 1, mu)
-            if expected >= sys.float_info.min:
-                assert poisson_tail(mu, n) == pytest.approx(expected, rel=1e-12)
-                checked += 1
-    assert checked > 500

@@ -125,7 +125,7 @@ def cmd_coincidence(args) -> int:
             raise ValueError("--pulses is required when binning a timestamp stream")
         result = patterns_from_timestamps(
             read_timestamps_csv(args.timestamps),
-            rep_period_ps=args.rep_period_ps,
+            rep_period_ps=RunConfig.load(args.config).rep_period_ps,
             n_pulses=args.pulses,
             offset_ps=args.offset_ps,
             window_ps=args.window_ps,
@@ -143,11 +143,11 @@ def cmd_estimate(args) -> int:
     summary = read_summary_json(args.summary)
     config = RunConfig.load(args.config)
     eta = _efficiency_from_args(args, config).eta
-    rep_rate = args.rep_rate if args.rep_rate is not None else config.rep_rate_hz
     result: dict = {"total_pulses": summary.total_pulses}
     if args.method in ("single", "both"):
+        # Clicks per trigger, one trigger per unit time: the repetition rate cancels.
         click_prob = summary.subset_probs[frozenset({args.detector})]
-        single = estimate_mu_single(click_prob * rep_rate, rep_rate, eta[args.detector - 1])
+        single = estimate_mu_single(click_prob, 1.0, eta[args.detector - 1])
         result["mu_single"] = single.mu_hat
         result["detector"] = args.detector
     if args.method in ("rigorous", "both"):
@@ -205,6 +205,8 @@ def cmd_leakage(args) -> int:
         distributions = {}
         for spec in args.source:
             label, mean, sigma = _parse_source_spec(spec)
+            if label in distributions:
+                raise ValueError(f"source {label} given twice")
             distributions[label] = SourceDistribution(mean=mean, sigma=sigma)
         reports = pairwise_reports(distributions)
         for report in reports:
@@ -240,6 +242,8 @@ def cmd_fluct(args) -> int:
                 mu = float(mu_text)
             except ValueError:
                 raise ValueError(f"bad series spec {spec!r}; expected MU=PATH") from None
+            if mu in series_per_mu:
+                raise ValueError(f"series for mu={mu:g} given twice")
             series_per_mu[mu] = read_count_series_csv(path)
         meta = {"input": "series files"}
     else:
@@ -248,18 +252,12 @@ def cmd_fluct(args) -> int:
         eff = config.efficiency_set()
         eta_det = eff.eta[args.detector - 1]
         mus = [float(x) for x in args.mu_list.split(",")]
+        repeats = [mu for k, mu in enumerate(mus) if mu in mus[:k]]
+        if repeats:
+            raise ValueError(f"mu={repeats[0]:g} given twice in --mu-list")
         for mu in mus:
-            source = SourceModel(
-                label=args.label,
-                mu=mu,
-                fluctuation=FluctuationModel(slope=args.fluct_a, intercept=args.fluct_b),
-            )
-            cfg = SimConfig(
-                n_pulses=args.pulses_per_cycle,
-                seed=args.seed,
-                efficiency_set=eff,
-                rep_period_ps=config.rep_period_ps,
-            )
+            source = SourceModel(args.label, mu, FluctuationModel(slope=args.fluct_a, intercept=args.fluct_b))
+            cfg = SimConfig(n_pulses=args.pulses_per_cycle, seed=args.seed, efficiency_set=eff)
             counts = simulate_count_series(source, args.cycles, args.pulses_per_cycle, cfg, detector=args.detector)
             if args.series_dir:
                 out = _out_path(args.series_dir) / f"series_mu_{mu:g}.csv"
@@ -296,7 +294,6 @@ def cmd_sweep(args) -> int:
         pulses_per_point=args.pulses,
         seed=args.seed,
         detector=args.detector,
-        rep_rate=config.rep_rate_hz,
     )
     write_sweep_csv(_out_path(args.out), rows)
     print(
@@ -332,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--histogram", help="pattern histogram JSON")
     group.add_argument("--timestamps", help="timestamp CSV")
+    p.add_argument("--config", help="run configuration JSON; its rep_rate_hz sets the binning period")
     p.add_argument("--pulses", type=int, help="trigger periods covered by the timestamps")
-    p.add_argument("--rep-period-ps", type=int, default=800_000)
     p.add_argument("--offset-ps", type=int, default=0)
     p.add_argument("--window-ps", type=int)
     p.add_argument("--out", required=True)
@@ -345,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--method", choices=("single", "rigorous", "both"), default="both")
     p.add_argument("--detector", type=int, choices=DETECTORS, default=1)
-    p.add_argument("--rep-rate", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
 

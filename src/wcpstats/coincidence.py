@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fileio import read_int_csv, read_json, write_json_atomic, write_text_atomic
+from .fileio import json_int, read_int_csv, read_json, write_json_atomic, write_text_atomic
 from .optics import N_DETECTORS, validate_efficiencies
 
 DETECTORS = tuple(range(1, N_DETECTORS + 1))
@@ -86,7 +86,7 @@ class PatternHistogram:
     @classmethod
     def from_dict(cls, data: Mapping) -> "PatternHistogram":
         try:
-            return cls(counts=data["counts"], total_pulses=data["total_pulses"])
+            return cls(counts=data["counts"], total_pulses=json_int(data["total_pulses"], "total_pulses"))
         except TypeError as exc:
             raise ValueError(f"malformed pattern histogram: {exc}") from None
 
@@ -165,7 +165,7 @@ class CoincidenceSummary:
                 for key, p in data["subsets"].items()
             }
             order_probs = tuple(float(x) for x in data["orders"])
-            total_pulses = int(data["total_pulses"])
+            total_pulses = json_int(data["total_pulses"], "total_pulses")
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed coincidence summary: {exc}") from None
         return cls(subset_probs=subset_probs, order_probs=order_probs, total_pulses=total_pulses)
@@ -199,7 +199,8 @@ def _check_stream(channels: np.ndarray, times: np.ndarray) -> None:
     bad = (channels < 1) | (channels > N_DETECTORS)
     if bad.any():
         raise ValueError(f"channel must be in 1..{N_DETECTORS}, got {channels[bad][0]}")
-    if np.any(np.diff(times, prepend=0) < 0):
+    # Compared, not subtracted: a difference of two int64 times can wrap.
+    if np.any(times < 0) or np.any(times[1:] < times[:-1]):
         raise ValueError("time_ps must be >= 0 and sorted ascending")
 
 

@@ -1,7 +1,7 @@
 """Default run configuration: measured geometry and source settings.
 
-The defaults mirror the reference characterization bench: a 1.25 MHz
-trigger, detectors with 65% quantum efficiency, and the measured
+The defaults mirror the reference characterization bench: its trigger
+rate, detectors with 65% quantum efficiency, and the measured
 transmittance/reflectance of the three splitters in the detection tree.
 Coupling efficiency is not separately calibrated and defaults to 1, which
 folds any coupling loss into the detector factor a user supplies.
@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fileio import read_json
+from .fileio import json_int, read_json
 from .optics import BeamSplitter, DetectionTree, EfficiencySet, branching_efficiencies
-from .simulator import SOURCE_LABELS, FluctuationModel, SourceModel
+from .simulator import DEFAULT_REP_RATE_HZ, SOURCE_LABELS, FluctuationModel, SourceModel
 
-DEFAULT_REP_RATE_HZ = 1.25e6
 DEFAULT_DETECTOR_EFFICIENCY = 0.65
 DEFAULT_COUPLING = 1.0
 
@@ -45,24 +44,35 @@ def default_efficiency_set(
     )
 
 
-# Scalar RunConfig fields read from a config file, with their types.
-_SCALAR_FIELDS = {"eta_d": float, "rep_rate_hz": float, "pulses": int, "seed": int}
+def _known(data: dict, keys: tuple[str, ...], where: str) -> dict:
+    """``data``, once it is known to hold no key outside ``keys``."""
+    unknown = sorted(data.keys() - set(keys))
+    if unknown:
+        raise TypeError(f"unknown {where} key(s) {', '.join(unknown)}")
+    return data
 
 
 def _tree_from_dict(data: dict) -> DetectionTree:
     def splitter(key: str) -> BeamSplitter:
         entry = data[key]
         if isinstance(entry, dict):
-            return BeamSplitter(entry["transmittance"], entry["reflectance"])
+            return BeamSplitter(**_known(entry, ("transmittance", "reflectance"), f"geometry {key}"))
         return BeamSplitter(*entry)
 
-    order = tuple(data.get("detector_order", (1, 2, 3, 4)))
+    _known(data, ("root", "transmitted", "reflected", "detector_order"), "geometry")
+    order = tuple(json_int(d, "detector_order entry") for d in data.get("detector_order", (1, 2, 3, 4)))
     return DetectionTree(
         root=splitter("root"),
         transmitted=splitter("transmitted"),
         reflected=splitter("reflected"),
         detector_order=order,
     )
+
+
+def _source_from_dict(label: str, entry: dict) -> SourceModel:
+    _known(entry, ("mu", "fluct_a", "fluct_b", "dark_rate"), f"source {label}")
+    fluctuation = FluctuationModel(float(entry.get("fluct_a", 0.0)), float(entry.get("fluct_b", 0.0)))
+    return SourceModel(label, float(entry["mu"]), fluctuation, float(entry.get("dark_rate", 0.0)))
 
 
 @dataclass
@@ -107,23 +117,16 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         try:
-            kwargs = {key: cast(data[key]) for key, cast in _SCALAR_FIELDS.items() if key in data}
+            _known(data, ("geometry", "eta_c", "eta_d", "rep_rate_hz", "pulses", "seed", "sources"), "config")
+            kwargs = {key: float(data[key]) for key in ("eta_d", "rep_rate_hz") if key in data}
+            kwargs.update((key, json_int(data[key], key)) for key in ("pulses", "seed") if key in data)
             if "geometry" in data:
                 kwargs["tree"] = _tree_from_dict(data["geometry"])
             if "eta_c" in data:
                 eta_c = data["eta_c"]
                 kwargs["eta_c"] = tuple(eta_c) if isinstance(eta_c, list) else float(eta_c)
             kwargs["sources"] = {
-                label: SourceModel(
-                    label=label,
-                    mu=float(entry["mu"]),
-                    fluctuation=FluctuationModel(
-                        slope=float(entry.get("fluct_a", 0.0)),
-                        intercept=float(entry.get("fluct_b", 0.0)),
-                    ),
-                    dark_rate=float(entry.get("dark_rate", 0.0)),
-                )
-                for label, entry in data.get("sources", {}).items()
+                label: _source_from_dict(label, entry) for label, entry in data.get("sources", {}).items()
             }
             return cls(**kwargs)
         except (TypeError, AttributeError) as exc:

@@ -229,13 +229,13 @@ def method_difference_sweep(
     pulses_per_point: int,
     seed: int,
     detector: int = 1,
-    rep_rate: float = 1.25e6,
 ) -> list[SweepPoint]:
     """Simulate each grid point and compare the two estimators.
 
-    Method 1 reads the click rate of one configured detector; method 2
-    inverts the full coincidence model.  Points use deterministic
-    sub-seeds, so the sweep may be parallelized without changing results.
+    Method 1 reads the clicks per trigger of one configured detector (the
+    repetition rate cancels out of N / (rate * eta)); method 2 inverts the
+    full coincidence model.  Points use deterministic sub-seeds, so the
+    sweep may be parallelized without changing results.
     """
     from .simulator import SimConfig, SourceModel, simulate_pulses
 
@@ -249,8 +249,7 @@ def method_difference_sweep(
         cfg = SimConfig(n_pulses=pulses_per_point, seed=sub_seed, efficiency_set=efficiency_set)
         source = SourceModel(label="sweep", mu=mu)
         summary = observed_coincidences(simulate_pulses(source, cfg))
-        click_prob = summary.subset_probs[frozenset({detector})]
-        single = estimate_mu_single(click_prob * rep_rate, rep_rate, eta[detector - 1])
+        single = estimate_mu_single(summary.subset_probs[frozenset({detector})], 1.0, eta[detector - 1])
         rigorous = estimate_mu_rigorous(summary, eta)
         rows.append(
             SweepPoint(

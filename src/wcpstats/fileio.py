@@ -43,6 +43,14 @@ def read_json(path: str | Path):
         return json.load(handle)
 
 
+def json_int(value, name: str) -> int:
+    """An integral JSON number such as 3 or 1e6; a bool or a fraction raises TypeError."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def read_int_csv(path: str | Path, header: tuple[str, ...], check=lambda *columns: None) -> np.ndarray:
     """The rows of an integer CSV as one int64 table of shape (rows, len(header)).
 

@@ -144,16 +144,6 @@ class EfficiencySet:
         """Wrap already-combined overall efficiencies."""
         return cls(eta_b=tuple(float(x) for x in eta), eta_c=1.0, eta_d=1.0)
 
-    def to_dict(self) -> dict:
-        eta_c = self.eta_c if isinstance(self.eta_c, (int, float)) else list(self.eta_c)
-        return {
-            "eta_b": list(self.eta_b),
-            "eta_c": eta_c,
-            "eta_d": self.eta_d,
-            "eta": list(self.eta),
-            "eta_bar": self.eta_bar,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "EfficiencySet":
         if not isinstance(data, dict):

@@ -44,6 +44,9 @@ CHUNK_SIZE = 1 << 16
 
 _MAX_DARK_RATE = 0.01
 
+# The trigger rate of the reference bench, the default of every run.
+DEFAULT_REP_RATE_HZ = 1.25e6
+
 
 @dataclass(frozen=True)
 class FluctuationModel:
@@ -84,18 +87,17 @@ class SourceModel:
 class SimConfig:
     """Run parameters for pulse generation.
 
-    ``rep_period_ps`` defaults to the 1.25 MHz trigger period.  When the
-    source carries intensity fluctuations, a fresh intensity is drawn every
-    ``cycle_pulses`` pulses (default: one second worth of pulses).
+    ``rep_period_ps`` defaults to the period of ``DEFAULT_REP_RATE_HZ``.
+    When the source carries intensity fluctuations, a fresh intensity is
+    drawn every ``cycle_pulses`` pulses (default: one second worth of pulses).
     """
 
     n_pulses: int
     seed: int
     efficiency_set: EfficiencySet
-    rep_period_ps: int = 800_000
+    rep_period_ps: int = round(1e12 / DEFAULT_REP_RATE_HZ)
     emit_timestamps: bool = False
     cycle_pulses: int | None = None
-    click_delay_ps: int = 100_000
 
     def __post_init__(self) -> None:
         if self.n_pulses <= 0:
@@ -104,8 +106,6 @@ class SimConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.rep_period_ps <= 0:
             raise ValueError(f"rep_period_ps must be > 0, got {self.rep_period_ps}")
-        if not 0 <= self.click_delay_ps < self.rep_period_ps:
-            raise ValueError("click_delay_ps must lie inside the repetition period")
         if self.cycle_pulses is not None and self.cycle_pulses <= 0:
             raise ValueError(f"cycle_pulses must be > 0, got {self.cycle_pulses}")
 
@@ -201,12 +201,14 @@ def simulate_patterns(source: SourceModel, cfg: SimConfig) -> np.ndarray:
 def simulate_timestamps(source: SourceModel, cfg: SimConfig) -> tuple[np.ndarray, PatternHistogram]:
     """Time-tagger record stream plus the ground-truth pattern histogram.
 
-    Every click becomes one record at pulse_index * rep_period + the fixed
-    intra-period delay, so binning the stream at the repetition period
-    reproduces the returned histogram exactly.
+    Every click becomes one record at pulse_index * rep_period + period / 8,
+    so binning the stream at the repetition period reproduces the returned
+    histogram exactly.
     """
     if not cfg.emit_timestamps:
         raise ValueError("emit_timestamps is not set on this configuration")
+    if cfg.n_pulses * cfg.rep_period_ps >= 2**63:
+        raise ValueError(f"{cfg.n_pulses} pulses of {cfg.rep_period_ps} ps overrun int64 time_ps")
     counts = np.zeros(N_PATTERNS, dtype=np.int64)
     channels, times = [], []
     for chunk_index in _chunk_indices(cfg):
@@ -214,7 +216,7 @@ def simulate_timestamps(source: SourceModel, cfg: SimConfig) -> tuple[np.ndarray
         counts += np.bincount(patterns, minlength=N_PATTERNS)
         pulse_ix, det_ix = np.nonzero((patterns[:, None] >> np.arange(4)) & 1)
         channels.append(det_ix + 1)
-        times.append((chunk_index * CHUNK_SIZE + pulse_ix) * cfg.rep_period_ps + cfg.click_delay_ps)
+        times.append((chunk_index * CHUNK_SIZE + pulse_ix) * cfg.rep_period_ps + cfg.rep_period_ps // 8)
     records = np.rec.fromarrays([np.concatenate(channels), np.concatenate(times)], dtype=TIMESTAMP_DTYPE)
     histogram = PatternHistogram(counts=tuple(int(c) for c in counts), total_pulses=cfg.n_pulses)
     return records, histogram

@@ -4,11 +4,13 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wcpstats.cli import main
 from wcpstats.coincidence import read_summary_json
+from wcpstats.config import RunConfig
 from wcpstats.fileio import read_json
 
 
@@ -78,6 +80,37 @@ def test_simulate_timestamps_roundtrip(tmp_path):
     direct_path = tmp_path / "direct.json"
     assert run(["coincidence", "--histogram", hist_path, "--out", direct_path]) == 0
     assert read_summary_json(summary_path).subset_probs == read_summary_json(direct_path).subset_probs
+
+
+@pytest.mark.parametrize("rate", [2e6, 1e7, 2e7, 1e9])
+def test_timestamps_bin_at_the_config_period(tmp_path, capsys, rate):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"rep_rate_hz": rate}))
+    hist_path, stamps_path = tmp_path / "hist.json", tmp_path / "stamps.csv"
+    assert run(
+        ["simulate", "--config", config, "--mu", "0.8", "--pulses", "20000", "--seed", "5",
+         "--out-histogram", hist_path, "--out-timestamps", stamps_path]
+    ) == 0
+    direct_path, binned_path = tmp_path / "direct.json", tmp_path / "binned.json"
+    assert run(["coincidence", "--histogram", hist_path, "--out", direct_path]) == 0
+    capsys.readouterr()
+    assert run(
+        ["coincidence", "--timestamps", stamps_path, "--pulses", "20000", "--config", config,
+         "--out", binned_path]
+    ) == 0
+    assert "(0 records discarded)" in capsys.readouterr().out
+    assert binned_path.read_bytes() == direct_path.read_bytes()
+
+
+def test_timestamps_past_int64_exit_one_and_histograms_stay_allowed(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"rep_rate_hz": 1e-3}))
+    hist_path, stamps_path = tmp_path / "hist.json", tmp_path / "stamps.csv"
+    argv = ["simulate", "--config", config, "--pulses", "20000", "--out-histogram", hist_path]
+    assert run(argv + ["--out-timestamps", stamps_path]) == 1
+    assert "int64" in capsys.readouterr().err
+    assert not hist_path.exists() and not stamps_path.exists()
+    assert run(argv) == 0
 
 
 def test_estimate_vacuum_reports_insufficient_data(tmp_path, capsys):
@@ -230,15 +263,17 @@ def test_unknown_flag_exits_with_usage_error():
         ["coincidence", "--timestamps", "{csv}", "--pulses", "10",
          "--offset-ps", "100000000000000000000", "--out", "{out}"],
         ["coincidence", "--timestamps", "{csv}", "--pulses", "10",
-         "--rep-period-ps", "100000000000000000000", "--out", "{out}"],
+         "--config", "{config}", "--out", "{out}"],
     ],
     ids=["negative-mu", "huge-offset", "huge-rep-period"],
 )
 def test_bad_values_exit_one(tmp_path, capsys, argv):
     path = tmp_path / "input.csv"
     path.write_text("channel,time_ps\n1,100\n2,300\n")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"rep_rate_hz": 1e-8}))  # a period of 1e20 ps
     out = tmp_path / "x.json"
-    assert run([a.format(csv=path, out=out) for a in argv]) == 1
+    assert run([a.format(csv=path, config=config, out=out) for a in argv]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
@@ -259,6 +294,7 @@ TIMESTAMPS_ARGV = ["coincidence", "--timestamps", "{path}", "--pulses", "10", "-
         ("channel,time_ps\n1,100\n2,-5\n", TIMESTAMPS_ARGV),
         ("channel,time_ps\n1,100\n2,x\n", TIMESTAMPS_ARGV),
         ("channel,time_ps\n1,100\n2,50\n", TIMESTAMPS_ARGV),
+        ("channel,time_ps\n1,9000000000000000000\n2,-9000000000000000000\n", TIMESTAMPS_ARGV),
     ],
     ids=[
         "series-short-row",
@@ -270,6 +306,7 @@ TIMESTAMPS_ARGV = ["coincidence", "--timestamps", "{path}", "--pulses", "10", "-
         "timestamps-negative-time",
         "timestamps-bad-time",
         "timestamps-out-of-order",
+        "timestamps-difference-past-int64",
     ],
 )
 def test_malformed_csv_row_exits_one_naming_the_line(tmp_path, capsys, text, argv):
@@ -316,9 +353,12 @@ SUMMARY = {
         {**SUMMARY, "orders": [None] * 4},
         {**SUMMARY, "subsets": [1, 2]},
         {**SUMMARY, "total_pulses": None},
+        {**SUMMARY, "total_pulses": 1000.7},
+        {**SUMMARY, "total_pulses": True},
         [SUMMARY],
     ],
-    ids=["scalar-orders", "null-orders", "list-subsets", "null-total", "list-top-level"],
+    ids=["scalar-orders", "null-orders", "list-subsets", "null-total", "fractional-total",
+         "bool-total", "list-top-level"],
 )
 def test_malformed_summary_exits_one(tmp_path, capsys, payload):
     path = tmp_path / "summary.json"
@@ -356,11 +396,25 @@ SIMULATE_CONFIG_ARGV = ["simulate", "--config", "{path}", "--pulses", "10", "--o
     "payload, argv, message",
     [
         ([1, 2], ["coincidence", "--histogram", "{path}", "--out", "{out}"], "pattern histogram"),
+        ({"total_pulses": True, "counts": [1] + [0] * 15},
+         ["coincidence", "--histogram", "{path}", "--out", "{out}"], "pattern histogram"),
         ([1, 2], SIMULATE_CONFIG_ARGV, "run config"),
         ({"sources": {"S1": 3}}, SIMULATE_CONFIG_ARGV, "run config"),
         ({"geometry": [1, 2]}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"pulses": 1.9}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"seed": 2.7}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"pulses": True}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"puls": 10}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"sources": {"S1": {"mu": 0.5, "fluct_A": 0.1}}}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"geometry": {"root": [0.5, 0.4], "transmitted": {"transmittance": 0.5, "reflectance": 0.4,
+                                                           "loss": 0.1}, "reflected": [0.5, 0.4]}},
+         SIMULATE_CONFIG_ARGV, "run config"),
+        ({"geometry": {"root": [0.5, 0.4], "transmitted": [0.5, 0.4], "reflected": [0.5, 0.4],
+                       "detector_order": [True, 2, 3, 4]}}, SIMULATE_CONFIG_ARGV, "run config"),
     ],
-    ids=["list-histogram", "list-config", "scalar-source", "list-geometry"],
+    ids=["list-histogram", "bool-histogram-total", "list-config", "scalar-source", "list-geometry", "fractional-pulses",
+         "fractional-seed", "bool-pulses", "unknown-key", "unknown-source-key",
+         "unknown-splitter-key", "bool-detector-order"],
 )
 def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message):
     path = tmp_path / "input.json"
@@ -368,6 +422,40 @@ def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message
     out = tmp_path / "out.json"
     assert run([a.format(path=path, out=out) for a in argv]) == 1
     assert capsys.readouterr().err.startswith(f"error: malformed {message}: ")
+    assert not out.exists()
+
+
+def test_config_accepts_integral_floats(tmp_path):
+    config = RunConfig.from_dict({"pulses": 1e6, "seed": 2.0})
+    assert (config.pulses, config.seed) == (1_000_000, 2)
+    assert isinstance(config.pulses, int) and isinstance(config.seed, int)
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("### Configuration file", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    config = RunConfig.from_dict(json.loads(example))
+    assert config.rep_period_ps == 800_000
+    assert config.source("S1").mu == 0.5
+
+
+@pytest.mark.parametrize(
+    "argv, repeat",
+    [
+        (["leakage", "--source", "S1=62,5", "--source", "S1=63,5", "--source", "S2=62,5.1",
+          "--out", "{out}"], "S1"),
+        (["fluct", "--mu-list", "0.2,0.2,0.4", "--out", "{out}"], "0.2"),
+        (["fluct", "--series", "0.3={series}", "--series", "0.3={series}", "--out", "{out}"], "0.3"),
+    ],
+    ids=["leakage-source", "fluct-mu-list", "fluct-series"],
+)
+def test_repeated_label_or_mu_exits_one(tmp_path, capsys, argv, repeat):
+    series = tmp_path / "series.csv"
+    series.write_text("cycle_index,counts\n0,5\n1,7\n")
+    out = tmp_path / "out.json"
+    assert run([a.format(series=series, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repeat in err and "twice" in err
     assert not out.exists()
 
 

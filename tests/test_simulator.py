@@ -199,5 +199,3 @@ def test_sim_config_validation():
         SimConfig(n_pulses=0, seed=1, efficiency_set=UNIFORM)
     with pytest.raises(ValueError):
         SimConfig(n_pulses=10, seed=-1, efficiency_set=UNIFORM)
-    with pytest.raises(ValueError):
-        SimConfig(n_pulses=10, seed=1, efficiency_set=UNIFORM, click_delay_ps=900_000)

@@ -27,17 +27,7 @@ from .coincidence import (
     write_summary_json,
     write_timestamps_csv,
 )
-from .config import RunConfig
-from .estimation import (
-    ConvergenceError,
-    InsufficientDataError,
-    estimate_mu_rigorous,
-    estimate_mu_single,
-    intensity_from_counts,
-    method_difference_sweep,
-    poissonity_test,
-    write_sweep_csv,
-)
+from .config import FluctuationModel, RunConfig, SourceModel
 from .fileio import read_json, write_json_atomic
 from .leakage import (
     SourceDistribution,
@@ -49,16 +39,10 @@ from .leakage import (
     write_leakage_json,
 )
 from .optics import EfficiencySet
-from .simulator import (
-    SimConfig,
-    SourceModel,
-    FluctuationModel,
-    read_count_series_csv,
-    simulate_count_series,
-    simulate_pulses,
-    simulate_timestamps,
-    write_count_series_csv,
-)
+from .stats import ConvergenceError, InsufficientDataError
+
+# numpy loads only in the commands that work on arrays: the ones that
+# import ``estimation`` or ``simulator``, or bin a timestamp stream.
 
 OUTDIR_ENV = "WCPSTATS_OUTDIR"
 
@@ -90,6 +74,8 @@ def _source_from_args(args, config: RunConfig) -> SourceModel:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import SimConfig, simulate_pulses, simulate_timestamps
+
     config = RunConfig.load(args.config)
     source = _source_from_args(args, config)
     pulses = args.pulses if args.pulses is not None else config.pulses
@@ -140,6 +126,8 @@ def cmd_coincidence(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .estimation import estimate_mu_rigorous, estimate_mu_single, poissonity_test
+
     summary = read_summary_json(args.summary)
     config = RunConfig.load(args.config)
     eta = _efficiency_from_args(args, config).eta
@@ -233,6 +221,9 @@ def cmd_leakage(args) -> int:
 
 
 def cmd_fluct(args) -> int:
+    from .estimation import intensity_from_counts
+    from .simulator import SimConfig, read_count_series_csv, simulate_count_series, write_count_series_csv
+
     config = RunConfig.load(args.config)
     series_per_mu: dict[float, object] = {}
     if args.series:
@@ -283,6 +274,8 @@ def cmd_fluct(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .estimation import method_difference_sweep, write_sweep_csv
+
     config = RunConfig.load(args.config)
     if args.steps < 2:
         raise ValueError("sweep needs at least 2 steps")

@@ -22,29 +22,38 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .fileio import json_int, read_int_csv, read_json, write_json_atomic, write_text_atomic
 from .optics import N_DETECTORS, validate_efficiencies
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DETECTORS = tuple(range(1, N_DETECTORS + 1))
 N_PATTERNS = 1 << N_DETECTORS
 ORDERS = (1, 2, 3, 4)
-# A time-tagger stream is a record array of this dtype, one row per click, sorted by time.
-TIMESTAMP_DTYPE = np.dtype([("channel", np.uint8), ("time_ps", np.int64)])
+# A time-tagger stream is a record array of TIMESTAMP_DTYPE, with these fields,
+# one row per click, sorted by time.
+_TIMESTAMP_FIELDS = {"channel": "u1", "time_ps": "i8"}
 
 _CONSISTENCY_TOL = 1e-12
-
-# _PATTERN_BITS[p, i] is set when pattern p has detector i + 1 clicking.
-_PATTERN_BITS = ((np.arange(N_PATTERNS)[:, None] >> np.arange(N_DETECTORS)) & 1).astype(bool)
 
 # Subsets of Z_4 grouped by cardinality; order 0 is the empty set.
 _SUBSETS_BY_ORDER: tuple[tuple[frozenset[int], ...], ...] = tuple(
     tuple(frozenset(c) for c in combinations(DETECTORS, r)) for r in range(N_DETECTORS + 1)
 )
-_SUBSETS_PER_ORDER = np.array([comb(N_DETECTORS, r) for r in ORDERS], dtype=np.float64)
+_SUBSETS_PER_ORDER = tuple(float(comb(N_DETECTORS, r)) for r in ORDERS)
+
+
+def __getattr__(name: str):
+    # TIMESTAMP_DTYPE is built on first use, so that importing this module loads no numpy.
+    if name != "TIMESTAMP_DTYPE":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+
+    globals()[name] = np.dtype(list(_TIMESTAMP_FIELDS.items()))
+    return globals()[name]
 
 
 def subsets_of_order(r: int) -> tuple[frozenset[int], ...]:
@@ -196,6 +205,8 @@ def observed_coincidences(hist: PatternHistogram) -> CoincidenceSummary:
 
 def _check_stream(channels: np.ndarray, times: np.ndarray) -> None:
     """Reject a channel outside 1..4, or times that are negative or out of order."""
+    import numpy as np
+
     bad = (channels < 1) | (channels > N_DETECTORS)
     if bad.any():
         raise ValueError(f"channel must be in 1..{N_DETECTORS}, got {channels[bad][0]}")
@@ -220,6 +231,8 @@ def patterns_from_timestamps(
     intra-period window (default: the full repetition period).  Memory
     scales with the number of records, not with ``n_pulses``.
     """
+    import numpy as np
+
     if not 0 < rep_period_ps < 2**63:
         raise ValueError(f"rep_period_ps must be > 0 and fit in int64, got {rep_period_ps}")
     if not -(2**63) <= offset_ps < 2**63:
@@ -283,6 +296,8 @@ def click_probabilities(mu, eta: Sequence[float], dark_rate: float = 0.0):
     ``dark_rate`` when no photon arrives.  ``mu`` may be a float or an
     array; the result holds one row per detector, shape ``(4,) + mu.shape``.
     """
+    import numpy as np
+
     eta = validate_efficiencies(eta)
     mu = np.asarray(mu, dtype=np.float64)
     if not np.all(np.isfinite(mu) & (mu >= 0.0)):
@@ -300,8 +315,12 @@ def pattern_probabilities(mu, eta: Sequence[float], dark_rate: float = 0.0):
     The detectors click independently, so each pattern's probability is a
     product of the four detectors' click or no-click probabilities.
     """
+    import numpy as np
+
     clicks = np.moveaxis(click_probabilities(mu, eta, dark_rate), 0, -1)[..., None, :]
-    return np.where(_PATTERN_BITS, clicks, 1.0 - clicks).prod(axis=-1)
+    # bits[p, i] is set when pattern p has detector i + 1 clicking.
+    bits = (np.arange(N_PATTERNS)[:, None] >> np.arange(N_DETECTORS)) & 1
+    return np.where(bits.astype(bool), clicks, 1.0 - clicks).prod(axis=-1)
 
 
 def poisson_coincidence_model(mu, eta: Sequence[float]):
@@ -312,6 +331,8 @@ def poisson_coincidence_model(mu, eta: Sequence[float]):
     terms.  A float ``mu`` gives a tuple (c_1, c_2, c_3, c_4); an array of
     mu gives an array with one such row per value.
     """
+    import numpy as np
+
     symmetric = np.zeros((N_DETECTORS + 1,) + np.shape(mu))
     symmetric[0] = 1.0
     for q in click_probabilities(mu, eta):
@@ -347,13 +368,15 @@ def write_timestamps_csv(path: str | Path, records: np.ndarray) -> None:
     """CSV with header ``channel,time_ps``, rows sorted by time ascending."""
     _check_stream(records["channel"], records["time_ps"])
     rows = [f"{c},{t}" for c, t in zip(records["channel"].tolist(), records["time_ps"].tolist())]
-    write_text_atomic(path, "\n".join([",".join(TIMESTAMP_DTYPE.names), *rows]) + "\n")
+    write_text_atomic(path, "\n".join([",".join(_TIMESTAMP_FIELDS), *rows]) + "\n")
 
 
 def read_timestamps_csv(path: str | Path) -> np.ndarray:
     """A timestamp CSV as a record stream; a bad row's error names its line."""
-    table = read_int_csv(path, TIMESTAMP_DTYPE.names, _check_stream)
-    return np.rec.fromarrays(table.T, dtype=TIMESTAMP_DTYPE)
+    import numpy as np
+
+    table = read_int_csv(path, tuple(_TIMESTAMP_FIELDS), _check_stream)
+    return np.rec.fromarrays(table.T, dtype=list(_TIMESTAMP_FIELDS.items()))
 
 
 def write_histogram_json(path: str | Path, hist: PatternHistogram, meta: dict | None = None) -> None:

@@ -12,12 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fileio import json_int, read_json
+from .fileio import json_float, json_int, json_keys, read_json
 from .optics import BeamSplitter, DetectionTree, EfficiencySet, branching_efficiencies
-from .simulator import DEFAULT_REP_RATE_HZ, SOURCE_LABELS, FluctuationModel, SourceModel
 
 DEFAULT_DETECTOR_EFFICIENCY = 0.65
 DEFAULT_COUPLING = 1.0
+# The trigger rate of the reference bench, the default of every run.
+DEFAULT_REP_RATE_HZ = 1.25e6
+SOURCE_LABELS = ("S1", "S2", "S3", "S4")
+
+_MAX_DARK_RATE = 0.01
 
 # Measured intensity fractions (transmitted, reflected) of the tree splitters.
 DEFAULT_SPLITTERS = {
@@ -25,6 +29,41 @@ DEFAULT_SPLITTERS = {
     "transmitted": (0.474, 0.446),
     "reflected": (0.461, 0.456),
 }
+
+
+@dataclass(frozen=True)
+class FluctuationModel:
+    """Linear intensity-fluctuation model: sigma(mu) = slope * mu + intercept."""
+
+    slope: float = 0.0
+    intercept: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("slope", "intercept"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+    def sigma(self, mu: float) -> float:
+        return self.slope * mu + self.intercept
+
+
+@dataclass(frozen=True)
+class SourceModel:
+    """One polarization source: label, nominal mean photon number, noise model."""
+
+    label: str
+    mu: float
+    fluctuation: FluctuationModel = field(default_factory=FluctuationModel)
+    dark_rate: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.mu) and self.mu > 0.0):
+            raise ValueError(f"mu must be > 0, got {self.mu!r}")
+        if not (0.0 <= self.dark_rate <= _MAX_DARK_RATE):
+            raise ValueError(
+                f"dark_rate must be in [0, {_MAX_DARK_RATE}], got {self.dark_rate!r}"
+            )
 
 
 def default_tree() -> DetectionTree:
@@ -44,22 +83,15 @@ def default_efficiency_set(
     )
 
 
-def _known(data: dict, keys: tuple[str, ...], where: str) -> dict:
-    """``data``, once it is known to hold no key outside ``keys``."""
-    unknown = sorted(data.keys() - set(keys))
-    if unknown:
-        raise TypeError(f"unknown {where} key(s) {', '.join(unknown)}")
-    return data
-
-
 def _tree_from_dict(data: dict) -> DetectionTree:
     def splitter(key: str) -> BeamSplitter:
         entry = data[key]
         if isinstance(entry, dict):
-            return BeamSplitter(**_known(entry, ("transmittance", "reflectance"), f"geometry {key}"))
-        return BeamSplitter(*entry)
+            ratios = json_keys(entry, ("transmittance", "reflectance"), f"geometry {key}")
+            return BeamSplitter(**{name: json_float(v, f"{key} {name}") for name, v in ratios.items()})
+        return BeamSplitter(*(json_float(v, f"{key} ratio") for v in entry))
 
-    _known(data, ("root", "transmitted", "reflected", "detector_order"), "geometry")
+    json_keys(data, ("root", "transmitted", "reflected", "detector_order"), "geometry")
     order = tuple(json_int(d, "detector_order entry") for d in data.get("detector_order", (1, 2, 3, 4)))
     return DetectionTree(
         root=splitter("root"),
@@ -70,9 +102,10 @@ def _tree_from_dict(data: dict) -> DetectionTree:
 
 
 def _source_from_dict(label: str, entry: dict) -> SourceModel:
-    _known(entry, ("mu", "fluct_a", "fluct_b", "dark_rate"), f"source {label}")
-    fluctuation = FluctuationModel(float(entry.get("fluct_a", 0.0)), float(entry.get("fluct_b", 0.0)))
-    return SourceModel(label, float(entry["mu"]), fluctuation, float(entry.get("dark_rate", 0.0)))
+    json_keys(entry, ("mu", "fluct_a", "fluct_b", "dark_rate"), f"source {label}")
+    floats = {key: json_float(entry.get(key, 0.0), key) for key in ("fluct_a", "fluct_b", "dark_rate")}
+    fluctuation = FluctuationModel(floats["fluct_a"], floats["fluct_b"])
+    return SourceModel(label, json_float(entry["mu"], "mu"), fluctuation, floats["dark_rate"])
 
 
 @dataclass
@@ -117,14 +150,18 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         try:
-            _known(data, ("geometry", "eta_c", "eta_d", "rep_rate_hz", "pulses", "seed", "sources"), "config")
-            kwargs = {key: float(data[key]) for key in ("eta_d", "rep_rate_hz") if key in data}
+            json_keys(data, ("geometry", "eta_c", "eta_d", "rep_rate_hz", "pulses", "seed", "sources"), "config")
+            kwargs = {key: json_float(data[key], key) for key in ("eta_d", "rep_rate_hz") if key in data}
             kwargs.update((key, json_int(data[key], key)) for key in ("pulses", "seed") if key in data)
             if "geometry" in data:
                 kwargs["tree"] = _tree_from_dict(data["geometry"])
             if "eta_c" in data:
                 eta_c = data["eta_c"]
-                kwargs["eta_c"] = tuple(eta_c) if isinstance(eta_c, list) else float(eta_c)
+                kwargs["eta_c"] = (
+                    tuple(json_float(e, "eta_c entry") for e in eta_c)
+                    if isinstance(eta_c, list)
+                    else json_float(eta_c, "eta_c")
+                )
             kwargs["sources"] = {
                 label: _source_from_dict(label, entry) for label, entry in data.get("sources", {}).items()
             }

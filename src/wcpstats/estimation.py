@@ -21,7 +21,7 @@ from .coincidence import ORDERS, CoincidenceSummary, observed_coincidences, pois
 from .fileio import write_text_atomic
 from .leakage import leakage_difference
 from .optics import EfficiencySet, validate_efficiencies
-from .stats import chi_square_quantile
+from .stats import ConvergenceError, InsufficientDataError, chi_square_quantile
 
 # Points of the coarse geometric scan and of each zoom; a zoom narrows
 # the bracket by a factor (_ZOOM_POINTS - 1) / 2.
@@ -30,18 +30,6 @@ _ZOOM_POINTS = 129
 
 METHOD_SINGLE = "single"
 METHOD_RIGOROUS = "rigorous"
-
-
-class InsufficientDataError(RuntimeError):
-    """Raised when the observed data cannot support an estimate."""
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the search fails to converge; carries the best iterate."""
-
-    def __init__(self, message: str, best: "MuEstimate"):
-        super().__init__(message)
-        self.best = best
 
 
 @dataclass(frozen=True)

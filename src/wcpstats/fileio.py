@@ -3,7 +3,8 @@
 Output files are produced by writing to a temporary file in the target
 directory and renaming it into place, so readers never observe a partial
 file.  JSON is dumped with sorted keys so identical inputs give
-byte-identical files.
+byte-identical files, and read strictly: the ``json_*`` helpers reject a
+value of the wrong type or an unknown key instead of coercing or dropping it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -40,7 +43,17 @@ def write_json_atomic(path: str | Path, payload) -> None:
 
 def read_json(path: str | Path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key raises ValueError rather than keeping its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"malformed JSON: key {key!r} given twice")
+        data[key] = value
+    return data
 
 
 def json_int(value, name: str) -> int:
@@ -49,6 +62,21 @@ def json_int(value, name: str) -> int:
     if isinstance(value, bool) or not integral:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def json_float(value, name: str) -> float:
+    """A JSON number as a float; a bool or a string raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_keys(data: dict, keys: tuple[str, ...], where: str) -> dict:
+    """``data``, once it is known to hold no key outside ``keys``."""
+    unknown = sorted(data.keys() - set(keys))
+    if unknown:
+        raise TypeError(f"unknown {where} key(s) {', '.join(unknown)}")
+    return data
 
 
 def read_int_csv(path: str | Path, header: tuple[str, ...], check=lambda *columns: None) -> np.ndarray:
@@ -77,6 +105,8 @@ def read_int_csv(path: str | Path, header: tuple[str, ...], check=lambda *column
 
 
 def _int_table(rows: list[str], width: int, check) -> np.ndarray:
+    import numpy as np
+
     # Count per row: a short row and a long row would balance out in a total.
     if any(row.count(",") != width - 1 for row in rows):
         raise ValueError(f"expected {width} fields per row")

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .fileio import write_json_atomic
 from .stats import _check_mu, normal_cdf
 
@@ -88,6 +86,8 @@ def fit_fluctuation(series_per_mu: Mapping[float, Sequence[float]]) -> Fluctuati
     per-point residuals are the deviations from the fitted line.  Needs at
     least two distinct mu values, each with a series of length >= 2.
     """
+    import numpy as np
+
     if len(series_per_mu) < 2:
         raise ValueError("need series for at least two distinct mu values")
     mus = []

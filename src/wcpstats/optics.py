@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .fileio import json_keys
+
 N_DETECTORS = 4
 
 _SUM_TOL = 1e-12
@@ -150,12 +152,13 @@ class EfficiencySet:
             raise ValueError(f"efficiency data must be a JSON object, got {data!r}")
         try:
             if "eta_b" in data:
+                json_keys(data, ("eta_b", "eta_c", "eta_d"), "efficiency")
                 eta_c = data.get("eta_c", 1.0)
                 if isinstance(eta_c, list):
                     eta_c = tuple(eta_c)
                 return cls(eta_b=tuple(data["eta_b"]), eta_c=eta_c, eta_d=data.get("eta_d", 1.0))
             if "eta" in data:
-                return cls.from_overall(data["eta"])
+                return cls.from_overall(json_keys(data, ("eta",), "efficiency")["eta"])
         except TypeError as exc:
             raise ValueError(f"malformed efficiency data: {exc}") from None
         raise ValueError("efficiency data must provide either 'eta_b' or 'eta'")

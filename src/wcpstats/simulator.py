@@ -19,19 +19,17 @@ leaves the per-pulse prefix of :func:`simulate_patterns` unchanged.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .coincidence import N_PATTERNS, TIMESTAMP_DTYPE, PatternHistogram
 from .coincidence import click_probabilities, pattern_probabilities
+from .config import DEFAULT_REP_RATE_HZ, FluctuationModel, SourceModel
 from .fileio import read_int_csv, write_text_atomic
 from .optics import EfficiencySet
 from .stats import normal_cdf
-
-SOURCE_LABELS = ("S1", "S2", "S3", "S4")
 
 # Sub-stream tags keeping per-pulse and per-cycle draws independent.
 _PULSE_STREAM = 0
@@ -41,46 +39,6 @@ _PATTERN_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
 
 # Pulses per chunk, the unit of the per-pulse random streams.
 CHUNK_SIZE = 1 << 16
-
-_MAX_DARK_RATE = 0.01
-
-# The trigger rate of the reference bench, the default of every run.
-DEFAULT_REP_RATE_HZ = 1.25e6
-
-
-@dataclass(frozen=True)
-class FluctuationModel:
-    """Linear intensity-fluctuation model: sigma(mu) = slope * mu + intercept."""
-
-    slope: float = 0.0
-    intercept: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("slope", "intercept"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-    def sigma(self, mu: float) -> float:
-        return self.slope * mu + self.intercept
-
-
-@dataclass(frozen=True)
-class SourceModel:
-    """One polarization source: label, nominal mean photon number, noise model."""
-
-    label: str
-    mu: float
-    fluctuation: FluctuationModel = field(default_factory=FluctuationModel)
-    dark_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ValueError(f"mu must be > 0, got {self.mu!r}")
-        if not (0.0 <= self.dark_rate <= _MAX_DARK_RATE):
-            raise ValueError(
-                f"dark_rate must be in [0, {_MAX_DARK_RATE}], got {self.dark_rate!r}"
-            )
 
 
 @dataclass(frozen=True)

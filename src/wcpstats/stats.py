@@ -7,7 +7,9 @@ collects the closed-form pieces: the Fock-basis overlap of a coherent
 state, the Poisson pmf itself, attenuation planning (choosing a neutral
 density filter to hit a target ``mu``), the multi-photon probability, and
 the two special functions the package needs (the normal CDF and the
-chi-square quantile), written with the standard library alone.
+chi-square quantile), written with the standard library alone.  It also
+defines the errors of the estimators, so that callers can catch them
+without importing numpy.
 
 All functions are pure and stateless.
 """
@@ -23,6 +25,18 @@ SPEED_OF_LIGHT = 299792458.0  # m / s
 
 # Above this count the pmf is evaluated in log space to avoid overflow.
 _DIRECT_EVAL_MAX_N = 20
+
+
+class InsufficientDataError(RuntimeError):
+    """Raised when the observed data cannot support an estimate."""
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when the search fails to converge; carries the best iterate."""
+
+    def __init__(self, message: str, best: "MuEstimate"):
+        super().__init__(message)
+        self.best = best
 
 
 def _check_mu(mu: float) -> float:

@@ -2,12 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import wcpstats
 from wcpstats.cli import main
 from wcpstats.coincidence import read_summary_json
 from wcpstats.config import RunConfig
@@ -30,6 +32,38 @@ def test_cli_import_loads_no_scipy():
         "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bounds", "--summary", "{summary}", "--out", "{out}"],
+        ["coincidence", "--histogram", "{histogram}", "--out", "{out}"],
+        ["leakage", "--mu", "0.5", "--source", "A=0.05,0.0025", "--source", "B=0.0525,0.0025"],
+    ],
+    ids=["import", "bounds", "coincidence-histogram", "leakage"],
+)
+def test_commands_without_arrays_load_no_numpy(tmp_path, argv):
+    # numpy is most of the start-up time of a CLI call that does no array work.
+    summary, histogram = tmp_path / "summary.json", tmp_path / "histogram.json"
+    summary.write_text(json.dumps(SUMMARY))
+    histogram.write_text(json.dumps({"total_pulses": 10, "counts": [9, 1] + [0] * 14}))
+    argv = [a.format(summary=summary, histogram=histogram, out=tmp_path / "out.json") for a in argv]
+    code = "import sys; from wcpstats.cli import main;"
+    code += f"assert main({argv!r}) == 0;" if argv else ""
+    code += "sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(wcpstats.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_package_exports_resolve_to_their_home_modules():
+    for name in wcpstats.__all__:
+        value = getattr(wcpstats, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name in dir(wcpstats)
+    with pytest.raises(AttributeError):
+        wcpstats.no_such_name
 
 
 def test_simulate_then_analyze_pipeline(tmp_path, capsys):
@@ -390,6 +424,7 @@ def test_malformed_efficiency_file_exits_one(tmp_path, capsys, payload):
 
 
 SIMULATE_CONFIG_ARGV = ["simulate", "--config", "{path}", "--pulses", "10", "--out-histogram", "{out}"]
+EFF_ARGV = ["bounds", "--summary", "{summary}", "--eff", "{path}", "--out", "{out}"]
 
 
 @pytest.mark.parametrize(
@@ -411,16 +446,31 @@ SIMULATE_CONFIG_ARGV = ["simulate", "--config", "{path}", "--pulses", "10", "--o
          SIMULATE_CONFIG_ARGV, "run config"),
         ({"geometry": {"root": [0.5, 0.4], "transmitted": [0.5, 0.4], "reflected": [0.5, 0.4],
                        "detector_order": [True, 2, 3, 4]}}, SIMULATE_CONFIG_ARGV, "run config"),
+        ('{"pulses": 5, "pulses": 10}', SIMULATE_CONFIG_ARGV, "JSON"),
+        ('{"sources": {"S1": {"mu": 0.5, "mu": 0.6}}}', SIMULATE_CONFIG_ARGV, "JSON"),
+        ({"rep_rate_hz": True}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"eta_d": "0.6"}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"eta_c": [1, 1, True, 1]}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"sources": {"S1": {"mu": "0.5"}}}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"sources": {"S1": {"mu": 0.5, "dark_rate": False}}}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"geometry": {"root": [True, False], "transmitted": [0.5, 0.4], "reflected": [0.5, 0.4]}},
+         SIMULATE_CONFIG_ARGV, "run config"),
+        ({"eta": [0.1] * 4, "eta_d": 0.5, "bogus": 1}, EFF_ARGV, "efficiency data"),
+        ({"eta_b": [0.2] * 4, "eta": [0.1] * 4}, EFF_ARGV, "efficiency data"),
     ],
     ids=["list-histogram", "bool-histogram-total", "list-config", "scalar-source", "list-geometry", "fractional-pulses",
          "fractional-seed", "bool-pulses", "unknown-key", "unknown-source-key",
-         "unknown-splitter-key", "bool-detector-order"],
+         "unknown-splitter-key", "bool-detector-order", "repeated-key", "repeated-nested-key",
+         "bool-rep-rate", "string-eta_d", "bool-eta_c-entry", "string-mu", "bool-dark-rate",
+         "bool-splitter-ratio", "eta-with-eta_d", "eta_b-with-eta"],
 )
 def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(SUMMARY))
     out = tmp_path / "out.json"
-    assert run([a.format(path=path, out=out) for a in argv]) == 1
+    assert run([a.format(path=path, summary=summary, out=out) for a in argv]) == 1
     assert capsys.readouterr().err.startswith(f"error: malformed {message}: ")
     assert not out.exists()
 

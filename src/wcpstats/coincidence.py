@@ -24,7 +24,7 @@ from math import comb
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .fileio import json_int, read_int_csv, read_json, write_json_atomic, write_text_atomic
+from .fileio import json_float, json_int, read_int_csv, read_json, write_json_atomic, write_text_atomic
 from .optics import N_DETECTORS, validate_efficiencies
 
 if TYPE_CHECKING:
@@ -170,10 +170,10 @@ class CoincidenceSummary:
     def from_dict(cls, data: Mapping) -> "CoincidenceSummary":
         try:
             subset_probs = {
-                frozenset(int(d) for d in key.split(",")): float(p)
+                frozenset(int(d) for d in key.split(",")): json_float(p, f"subset {key}")
                 for key, p in data["subsets"].items()
             }
-            order_probs = tuple(float(x) for x in data["orders"])
+            order_probs = tuple(json_float(x, "order probability") for x in data["orders"])
             total_pulses = json_int(data["total_pulses"], "total_pulses")
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed coincidence summary: {exc}") from None
@@ -366,9 +366,12 @@ def model_summary(mu: float, eta: Sequence[float], total_pulses: int) -> Coincid
 
 def write_timestamps_csv(path: str | Path, records: np.ndarray) -> None:
     """CSV with header ``channel,time_ps``, rows sorted by time ascending."""
+    import numpy as np
+
     _check_stream(records["channel"], records["time_ps"])
-    rows = [f"{c},{t}" for c, t in zip(records["channel"].tolist(), records["time_ps"].tolist())]
-    write_text_atomic(path, "\n".join([",".join(_TIMESTAMP_FIELDS), *rows]) + "\n")
+    interleaved = np.column_stack((records["channel"], records["time_ps"])).ravel().tolist()
+    body = "%d,%d\n" * len(records) % tuple(interleaved)
+    write_text_atomic(path, ",".join(_TIMESTAMP_FIELDS) + "\n" + body)
 
 
 def read_timestamps_csv(path: str | Path) -> np.ndarray:

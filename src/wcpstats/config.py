@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .fileio import json_float, json_int, json_keys, read_json
-from .optics import BeamSplitter, DetectionTree, EfficiencySet, branching_efficiencies
+from .optics import BeamSplitter, DetectionTree, EfficiencySet, branching_efficiencies, json_coupling
 
 DEFAULT_DETECTOR_EFFICIENCY = 0.65
 DEFAULT_COUPLING = 1.0
@@ -156,12 +156,7 @@ class RunConfig:
             if "geometry" in data:
                 kwargs["tree"] = _tree_from_dict(data["geometry"])
             if "eta_c" in data:
-                eta_c = data["eta_c"]
-                kwargs["eta_c"] = (
-                    tuple(json_float(e, "eta_c entry") for e in eta_c)
-                    if isinstance(eta_c, list)
-                    else json_float(eta_c, "eta_c")
-                )
+                kwargs["eta_c"] = json_coupling(data["eta_c"])
             kwargs["sources"] = {
                 label: _source_from_dict(label, entry) for label, entry in data.get("sources", {}).items()
             }

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -43,7 +44,10 @@ def write_json_atomic(path: str | Path, payload) -> None:
 
 def read_json(path: str | Path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(handle, object_pairs_hook=_unique_keys)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON: {exc}") from None
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -108,7 +112,7 @@ def _int_table(rows: list[str], width: int, check) -> np.ndarray:
     import numpy as np
 
     # Count per row: a short row and a long row would balance out in a total.
-    if any(row.count(",") != width - 1 for row in rows):
+    if set(map(str.count, rows, repeat(","))) - {width - 1}:
         raise ValueError(f"expected {width} fields per row")
     fields = ",".join(rows).split(",") if rows else []
     table = np.fromiter(map(int, fields), np.int64, len(fields)).reshape(-1, width)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fileio import json_keys
+from .fileio import json_float, json_keys
 
 N_DETECTORS = 4
 
@@ -85,6 +85,13 @@ def branching_efficiencies(tree: DetectionTree) -> tuple[float, float, float, fl
     return tuple(out)
 
 
+def json_coupling(value) -> float | tuple[float, ...]:
+    """A JSON coupling efficiency, one number or a list of per-arm numbers; raises TypeError."""
+    if isinstance(value, list):
+        return tuple(json_float(e, "eta_c entry") for e in value)
+    return json_float(value, "eta_c")
+
+
 def _coupling_vector(eta_c) -> tuple[float, float, float, float]:
     if isinstance(eta_c, (int, float)):
         vec = (float(eta_c),) * N_DETECTORS
@@ -153,12 +160,14 @@ class EfficiencySet:
         try:
             if "eta_b" in data:
                 json_keys(data, ("eta_b", "eta_c", "eta_d"), "efficiency")
-                eta_c = data.get("eta_c", 1.0)
-                if isinstance(eta_c, list):
-                    eta_c = tuple(eta_c)
-                return cls(eta_b=tuple(data["eta_b"]), eta_c=eta_c, eta_d=data.get("eta_d", 1.0))
+                return cls(
+                    eta_b=tuple(json_float(x, "eta_b entry") for x in data["eta_b"]),
+                    eta_c=json_coupling(data.get("eta_c", 1.0)),
+                    eta_d=json_float(data.get("eta_d", 1.0), "eta_d"),
+                )
             if "eta" in data:
-                return cls.from_overall(json_keys(data, ("eta",), "efficiency")["eta"])
+                eta = json_keys(data, ("eta",), "efficiency")["eta"]
+                return cls.from_overall([json_float(x, "eta entry") for x in eta])
         except TypeError as exc:
             raise ValueError(f"malformed efficiency data: {exc}") from None
         raise ValueError("efficiency data must provide either 'eta_b' or 'eta'")

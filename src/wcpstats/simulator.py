@@ -111,18 +111,17 @@ def _chunk_cycles(source: SourceModel, cfg: SimConfig, chunk_index: int):
     return np.array(intensities), np.diff(edges)
 
 
-def _chunk_patterns(source: SourceModel, cfg: SimConfig, chunk_index: int) -> np.ndarray:
-    """Click patterns (uint8 bitmasks) of the run's pulses in one chunk.
+def _chunk_flags(source: SourceModel, cfg: SimConfig, chunk_index: int) -> np.ndarray:
+    """Click flags (bool, pulses x detectors) of the run's pulses in one chunk.
 
     A run's short last chunk draws a prefix of the full chunk's uniforms,
-    so extending the run keeps its patterns.
+    so extending the run keeps its clicks.
     """
     intensities, lengths = _chunk_cycles(source, cfg, chunk_index)
     clicks = click_probabilities(intensities, cfg.efficiency_set, source.dark_rate)
     rng = np.random.default_rng([cfg.seed, _PULSE_STREAM, chunk_index])
     uniforms = np.split(rng.random((lengths.sum(), len(_PATTERN_WEIGHTS))), np.cumsum(lengths)[:-1])
-    flags = np.concatenate([u < p for u, p in zip(uniforms, clicks.T)])
-    return flags.astype(np.uint8) @ _PATTERN_WEIGHTS
+    return np.concatenate([u < p for u, p in zip(uniforms, clicks.T)])
 
 
 def _chunk_indices(cfg: SimConfig) -> range:
@@ -153,7 +152,8 @@ def simulate_patterns(source: SourceModel, cfg: SimConfig) -> np.ndarray:
     Materializes every pulse; intended for moderate run sizes and for
     checking the per-pulse prefix stability of the random stream.
     """
-    return np.concatenate([_chunk_patterns(source, cfg, c) for c in _chunk_indices(cfg)])
+    flags = (_chunk_flags(source, cfg, c) for c in _chunk_indices(cfg))
+    return np.concatenate([f.astype(np.uint8) @ _PATTERN_WEIGHTS for f in flags])
 
 
 def simulate_timestamps(source: SourceModel, cfg: SimConfig) -> tuple[np.ndarray, PatternHistogram]:
@@ -170,9 +170,13 @@ def simulate_timestamps(source: SourceModel, cfg: SimConfig) -> tuple[np.ndarray
     counts = np.zeros(N_PATTERNS, dtype=np.int64)
     channels, times = [], []
     for chunk_index in _chunk_indices(cfg):
-        patterns = _chunk_patterns(source, cfg, chunk_index)
-        counts += np.bincount(patterns, minlength=N_PATTERNS)
-        pulse_ix, det_ix = np.nonzero((patterns[:, None] >> np.arange(4)) & 1)
+        flags = _chunk_flags(source, cfg, chunk_index)
+        # Row-major click indices: pulse = hit // 4, detector = hit % 4, sorted by pulse.
+        hits = np.flatnonzero(flags)
+        pulse_ix, det_ix = hits >> 2, hits & 3
+        starts = np.flatnonzero(np.diff(pulse_ix, prepend=-1))
+        counts += np.bincount(np.bitwise_or.reduceat(1 << det_ix, starts), minlength=N_PATTERNS)
+        counts[0] += len(flags) - len(starts)
         channels.append(det_ix + 1)
         times.append((chunk_index * CHUNK_SIZE + pulse_ix) * cfg.rep_period_ps + cfg.rep_period_ps // 8)
     records = np.rec.fromarrays([np.concatenate(channels), np.concatenate(times)], dtype=TIMESTAMP_DTYPE)

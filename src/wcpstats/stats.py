@@ -11,11 +11,12 @@ chi-square quantile), written with the standard library alone.  It also
 defines the errors of the estimators, so that callers can catch them
 without importing numpy.
 
-All functions are pure and stateless.
+All functions are pure; ``chi_square_quantile`` caches its results.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,11 +97,13 @@ def _chi_square_sf(x: float, dof: int) -> float:
     return sf
 
 
+@functools.lru_cache(typed=True)
 def chi_square_quantile(percentile: float, dof: int) -> float:
     """The x with P(X <= x) = ``percentile`` for chi-square X with integer ``dof``.
 
     Bisection on the closed-form survival function, carried on until the
-    bracket holds no float between its ends.
+    bracket holds no float between its ends.  The cache is keyed on argument
+    types too, so that a cached ``dof=1`` does not answer for ``dof=True``.
     """
     if not 0.0 < percentile < 1.0:
         raise ValueError(f"percentile must lie in (0, 1), got {percentile!r}")

@@ -179,6 +179,22 @@ def bin_records(records, rep_period_ps: int, n_pulses: int, offset_ps: int = 0, 
     return counts, discarded
 
 
+def timestamps_from_patterns(patterns, rep_period_ps: int):
+    """Time-tagger records and the 16 pattern counts of per-pulse patterns, one pulse at a time.
+
+    Every set bit of pulse p's pattern, in detector order, becomes one
+    record at p * period + period // 8.
+    """
+    rows = []
+    counts = [0] * 16
+    for pulse, pattern in enumerate(patterns.tolist()):
+        counts[pattern] += 1
+        for bit in range(4):
+            if pattern >> bit & 1:
+                rows.append((bit + 1, pulse * rep_period_ps + rep_period_ps // 8))
+    return np.array(rows, dtype=[("channel", "u1"), ("time_ps", "i8")]), counts
+
+
 def exhaustive_shape_moments(eta) -> list[float]:
     """s_j for j = 1..4 by direct subset enumeration."""
     eta = [float(x) for x in eta]

@@ -425,6 +425,8 @@ def test_malformed_efficiency_file_exits_one(tmp_path, capsys, payload):
 
 SIMULATE_CONFIG_ARGV = ["simulate", "--config", "{path}", "--pulses", "10", "--out-histogram", "{out}"]
 EFF_ARGV = ["bounds", "--summary", "{summary}", "--eff", "{path}", "--out", "{out}"]
+ESTIMATE_EFF_ARGV = ["estimate", "--summary", "{summary}", "--eff", "{path}", "--out", "{out}"]
+SUMMARY_ARGV = ["bounds", "--summary", "{path}", "--out", "{out}"]
 
 
 @pytest.mark.parametrize(
@@ -457,12 +459,18 @@ EFF_ARGV = ["bounds", "--summary", "{summary}", "--eff", "{path}", "--out", "{ou
          SIMULATE_CONFIG_ARGV, "run config"),
         ({"eta": [0.1] * 4, "eta_d": 0.5, "bogus": 1}, EFF_ARGV, "efficiency data"),
         ({"eta_b": [0.2] * 4, "eta": [0.1] * 4}, EFF_ARGV, "efficiency data"),
+        ({"eta": [0.1, 0.1, 0.1, True]}, EFF_ARGV, "efficiency data"),
+        ({"eta_b": [0.3, 0.2, 0.2, True], "eta_d": 0.1}, ESTIMATE_EFF_ARGV, "efficiency data"),
+        ({"eta_b": [0.1] * 4, "eta_d": "0.5"}, ESTIMATE_EFF_ARGV, "efficiency data"),
+        ({**SUMMARY, "subsets": {**SUMMARY["subsets"], "1": "0.1"}}, SUMMARY_ARGV, "coincidence summary"),
+        ({**SUMMARY, "orders": [0.1, False, 0.0, 0.0]}, SUMMARY_ARGV, "coincidence summary"),
     ],
     ids=["list-histogram", "bool-histogram-total", "list-config", "scalar-source", "list-geometry", "fractional-pulses",
          "fractional-seed", "bool-pulses", "unknown-key", "unknown-source-key",
          "unknown-splitter-key", "bool-detector-order", "repeated-key", "repeated-nested-key",
          "bool-rep-rate", "string-eta_d", "bool-eta_c-entry", "string-mu", "bool-dark-rate",
-         "bool-splitter-ratio", "eta-with-eta_d", "eta_b-with-eta"],
+         "bool-splitter-ratio", "eta-with-eta_d", "eta_b-with-eta", "bool-eta-entry",
+         "estimate-bool-eta_b-entry", "estimate-string-eta_d", "string-subset-prob", "bool-order-prob"],
 )
 def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message):
     path = tmp_path / "input.json"
@@ -473,6 +481,13 @@ def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message
     assert run([a.format(path=path, summary=summary, out=out) for a in argv]) == 1
     assert capsys.readouterr().err.startswith(f"error: malformed {message}: ")
     assert not out.exists()
+
+
+def test_json_syntax_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"pulses": 5,}')
+    assert run(["simulate", "--config", path, "--out-histogram", tmp_path / "out.json"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: malformed JSON: ")
 
 
 def test_config_accepts_integral_floats(tmp_path):

@@ -385,3 +385,15 @@ def test_timestamp_csv_round_trip(tmp_path):
     write_timestamps_csv(path, records)
     assert np.array_equal(read_timestamps_csv(path), records)
     assert path.read_text().splitlines()[0] == "channel,time_ps"
+
+
+def test_timestamp_csv_bytes_match_per_row_formatting(tmp_path):
+    rng = np.random.default_rng(23)
+    times = np.sort(rng.integers(0, 2**62, 2_000))
+    times[0], times[-1] = 0, 2**62 - 1
+    records = np.rec.fromarrays([rng.integers(1, 5, times.size).astype(np.uint8), times], names="channel,time_ps")
+    path = tmp_path / "stamps.csv"
+    for stream in (records, records[:0]):
+        write_timestamps_csv(path, stream)
+        rows = [f"{c},{t}" for c, t in zip(stream["channel"].tolist(), stream["time_ps"].tolist())]
+        assert path.read_bytes() == ("\n".join(["channel,time_ps", *rows]) + "\n").encode()

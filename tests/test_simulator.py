@@ -14,6 +14,7 @@ from wcpstats.coincidence import (
 from wcpstats.config import default_efficiency_set
 from wcpstats.optics import EfficiencySet
 from wcpstats.simulator import (
+    CHUNK_SIZE,
     FluctuationModel,
     SimConfig,
     SourceModel,
@@ -24,6 +25,8 @@ from wcpstats.simulator import (
     simulate_timestamps,
     write_count_series_csv,
 )
+
+from oracles import timestamps_from_patterns
 
 UNIFORM = EfficiencySet.from_overall((0.1, 0.1, 0.1, 0.1))
 
@@ -93,6 +96,26 @@ def test_timestamps_round_trip_through_binning():
     assert len(records) == set_bits
     times = [r.time_ps for r in records]
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize(
+    "source, n_pulses, cycle_pulses",
+    [
+        # Cycles of 30,000 pulses put three intensity pieces into the first chunk.
+        (SourceModel(label="S1", mu=0.5, fluctuation=FluctuationModel(slope=0.2)), 100_000, 30_000),
+        (SourceModel(label="S1", mu=0.05, dark_rate=0.01), 50_000, None),
+        (SourceModel(label="S1", mu=0.3), CHUNK_SIZE + 1, None),
+        (SourceModel(label="S1", mu=1e-9), 10_000, None),
+    ],
+    ids=["fluctuating", "dark-counts", "chunk-plus-one", "no-clicks"],
+)
+def test_timestamps_match_per_pulse_oracle(source, n_pulses, cycle_pulses):
+    cfg = _cfg(n_pulses, seed=19, emit_timestamps=True, cycle_pulses=cycle_pulses)
+    records, hist = simulate_timestamps(source, cfg)
+    expected, counts = timestamps_from_patterns(simulate_patterns(source, cfg), cfg.rep_period_ps)
+    assert records.dtype == expected.dtype
+    assert np.array_equal(records, expected)
+    assert hist.counts == tuple(counts)
 
 
 def test_timestamps_require_flag_and_empty_run_gives_empty_stream():

@@ -132,8 +132,10 @@ def test_chi_square_quantile_matches_scipy(dof):
         assert chi_square_quantile(float(percentile), dof) == pytest.approx(expected, rel=1e-13)
 
 
-@pytest.mark.parametrize("percentile, dof", [(0.0, 1), (1.0, 1), (0.99, 0), (0.99, 1.5)])
+@pytest.mark.parametrize("percentile, dof", [(0.0, 1), (1.0, 1), (0.99, 0), (0.99, 1.5), (0.99, True)])
 def test_chi_square_quantile_rejects_bad_inputs(percentile, dof):
+    # A cached result for a valid call must not answer for an invalid one that compares equal.
+    chi_square_quantile(0.99, 1)
     with pytest.raises(ValueError):
         chi_square_quantile(percentile, dof)
 

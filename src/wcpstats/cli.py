@@ -62,15 +62,13 @@ def _efficiency_from_args(args, config: RunConfig) -> EfficiencySet:
 
 
 def _source_from_args(args, config: RunConfig) -> SourceModel:
-    label = args.label
-    if args.mu is not None:
-        return SourceModel(
-            label=label,
-            mu=args.mu,
-            fluctuation=FluctuationModel(slope=args.fluct_a, intercept=args.fluct_b),
-            dark_rate=args.dark_rate,
-        )
-    return config.source(label)
+    """The config's source for --label, with each source flag that is given in place of its field."""
+    new_label = args.mu is not None and args.label not in config.sources
+    source = SourceModel(args.label, args.mu) if new_label else config.source(args.label)
+    given = lambda flag, value: value if flag is None else flag
+    fluct = source.fluctuation
+    fluct = FluctuationModel(given(args.fluct_a, fluct.slope), given(args.fluct_b, fluct.intercept))
+    return SourceModel(args.label, given(args.mu, source.mu), fluct, given(args.dark_rate, source.dark_rate))
 
 
 def cmd_simulate(args) -> int:
@@ -87,7 +85,8 @@ def cmd_simulate(args) -> int:
         rep_period_ps=config.rep_period_ps,
         emit_timestamps=args.out_timestamps is not None,
     )
-    meta = {"seed": seed, "mu": source.mu, "label": source.label, "pulses": pulses}
+    meta = {"seed": seed, "mu": source.mu, "label": source.label, "pulses": pulses, "dark_rate": source.dark_rate}
+    meta.update(fluct_a=source.fluctuation.slope, fluct_b=source.fluctuation.intercept)
     if args.out_timestamps:
         records, hist = simulate_timestamps(source, cfg)
         write_timestamps_csv(_out_path(args.out_timestamps), records)
@@ -224,7 +223,7 @@ def cmd_fluct(args) -> int:
     from .estimation import intensity_from_counts
     from .simulator import SimConfig, read_count_series_csv, simulate_count_series, write_count_series_csv
 
-    config = RunConfig.load(args.config)
+    eff = RunConfig.load(args.config).efficiency_set()
     series_per_mu: dict[float, object] = {}
     if args.series:
         for spec in args.series:
@@ -240,8 +239,6 @@ def cmd_fluct(args) -> int:
     else:
         if not args.mu_list:
             raise ValueError("pass either --series MU=PATH or --mu-list with simulation options")
-        eff = config.efficiency_set()
-        eta_det = eff.eta[args.detector - 1]
         mus = [float(x) for x in args.mu_list.split(",")]
         repeats = [mu for k, mu in enumerate(mus) if mu in mus[:k]]
         if repeats:
@@ -251,19 +248,14 @@ def cmd_fluct(args) -> int:
             cfg = SimConfig(n_pulses=args.pulses_per_cycle, seed=args.seed, efficiency_set=eff)
             counts = simulate_count_series(source, args.cycles, args.pulses_per_cycle, cfg, detector=args.detector)
             if args.series_dir:
-                out = _out_path(args.series_dir) / f"series_mu_{mu:g}.csv"
-                write_count_series_csv(out, counts)
-            series_per_mu[mu] = intensity_from_counts(counts, args.pulses_per_cycle, eta_det)
-        meta = {
-            "seed": args.seed,
-            "cycles": args.cycles,
-            "pulses_per_cycle": args.pulses_per_cycle,
-            "detector": args.detector,
-            "units": "per-cycle intensity estimates (counts / (pulses * eta))",
-        }
-    fit = fit_fluctuation(series_per_mu)
+                write_count_series_csv(_out_path(args.series_dir) / f"series_mu_{mu:g}.csv", counts)
+            series_per_mu[mu] = counts
+        meta = {"seed": args.seed, "cycles": args.cycles}
+    eta_det = eff.eta[args.detector - 1]
+    fit = fit_fluctuation({mu: intensity_from_counts(c, args.pulses_per_cycle, eta_det) for mu, c in series_per_mu.items()})
     payload = fit.to_dict()
-    payload["meta"] = meta
+    units = "per-cycle intensity estimates (counts / (pulses * eta))"
+    payload["meta"] = {**meta, "pulses_per_cycle": args.pulses_per_cycle, "detector": args.detector, "units": units}
     if args.out:
         write_json_atomic(_out_path(args.out), payload)
     print(
@@ -308,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="run configuration JSON")
     p.add_argument("--label", default="S1")
     p.add_argument("--mu", type=float, help="mean photon number (overrides config)")
-    p.add_argument("--fluct-a", type=float, default=0.0, help="fluctuation slope")
-    p.add_argument("--fluct-b", type=float, default=0.0, help="fluctuation intercept")
-    p.add_argument("--dark-rate", type=float, default=0.0)
+    p.add_argument("--fluct-a", type=float, help="fluctuation slope (overrides config)")
+    p.add_argument("--fluct-b", type=float, help="fluctuation intercept (overrides config)")
+    p.add_argument("--dark-rate", type=float, help="dark-click probability per detector and pulse (overrides config)")
     p.add_argument("--pulses", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")

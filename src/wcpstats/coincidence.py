@@ -24,7 +24,7 @@ from math import comb
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .fileio import json_float, json_int, read_int_csv, read_json, write_json_atomic, write_text_atomic
+from .fileio import json_float, json_int, read_int_csv, read_json, write_int_csv, write_json_atomic
 from .optics import N_DETECTORS, validate_efficiencies
 
 if TYPE_CHECKING:
@@ -369,9 +369,7 @@ def write_timestamps_csv(path: str | Path, records: np.ndarray) -> None:
     import numpy as np
 
     _check_stream(records["channel"], records["time_ps"])
-    interleaved = np.column_stack((records["channel"], records["time_ps"])).ravel().tolist()
-    body = "%d,%d\n" * len(records) % tuple(interleaved)
-    write_text_atomic(path, ",".join(_TIMESTAMP_FIELDS) + "\n" + body)
+    write_int_csv(path, tuple(_TIMESTAMP_FIELDS), np.column_stack((records["channel"], records["time_ps"])))
 
 
 def read_timestamps_csv(path: str | Path) -> np.ndarray:

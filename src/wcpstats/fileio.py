@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from itertools import repeat
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -83,38 +83,53 @@ def json_keys(data: dict, keys: tuple[str, ...], where: str) -> dict:
     return data
 
 
+def write_int_csv(path: str | Path, header: tuple[str, ...], table: np.ndarray) -> None:
+    """CSV of an integer table under ``header``, all rows formatted in one pass."""
+    row = ",".join(["%d"] * len(header)) + "\n"
+    write_text_atomic(path, ",".join(header) + "\n" + row * len(table) % tuple(table.ravel().tolist()))
+
+
 def read_int_csv(path: str | Path, header: tuple[str, ...], check=lambda *columns: None) -> np.ndarray:
     """The rows of an integer CSV as one int64 table of shape (rows, len(header)).
 
     Blank lines are skipped, and ``check(*columns)`` may reject values by
-    raising ValueError.  The body is parsed in one pass, and line by line
-    only when that fails, so that the error names the first bad line (each
-    line with the one before it, so that rows out of order are named too).
+    raising ValueError.  The body is parsed in one pass from the file, and
+    line by line with the same parser only when that fails, so that the
+    error names the first bad line (each row is checked with the one before
+    it, so that rows out of order are named too).
     """
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines[0].split(",") != list(header):
-        raise ValueError(f"{path}: expected CSV header {','.join(header)}, got {lines[0]!r}")
+    import numpy as np
+
+    with open(path, encoding="utf-8") as handle:
+        first = handle.readline().rstrip("\n")
+    if first.split(",") != list(header):
+        raise ValueError(f"{path}: expected CSV header {','.join(header)}, got {first!r}")
     try:
-        return _int_table(list(filter(None, lines[1:])), len(header), check)
+        table = _int_table(path, len(header), skiprows=1)
+        check(*table.T)
+        return table
     except (ValueError, OverflowError) as exc:
-        previous = []
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        previous = np.empty((0, len(header)), np.int64)
         for number, line in enumerate(lines[1:], start=2):
             if line:
                 try:
-                    _int_table(previous + [line], len(header), check)
+                    row = _int_table([line], len(header))
+                    check(*np.concatenate((previous, row)).T)
                 except (ValueError, OverflowError) as line_exc:
                     raise ValueError(f"{path}, line {number}: {line_exc}") from None
-                previous = [line]
+                previous = row
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _int_table(rows: list[str], width: int, check) -> np.ndarray:
+def _int_table(source, width: int, skiprows: int = 0) -> np.ndarray:
+    """The int64 table of ``width`` columns in a CSV file or list of lines; no rows give (0, width)."""
     import numpy as np
 
-    # Count per row: a short row and a long row would balance out in a total.
-    if set(map(str.count, rows, repeat(","))) - {width - 1}:
+    with warnings.catch_warnings():
+        # loadtxt warns on a body without rows, which is a valid empty table here.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(source, np.int64, delimiter=",", comments=None, skiprows=skiprows, ndmin=2, encoding="utf-8")
+    if table.size and table.shape[1] != width:
         raise ValueError(f"expected {width} fields per row")
-    fields = ",".join(rows).split(",") if rows else []
-    table = np.fromiter(map(int, fields), np.int64, len(fields)).reshape(-1, width)
-    check(*table.T)
-    return table
+    return table.reshape(-1, width)

@@ -80,40 +80,37 @@ class FluctuationFit:
 
 
 def fit_fluctuation(series_per_mu: Mapping[float, Sequence[float]]) -> FluctuationFit:
-    """Fit the linear fluctuation model to per-mu count series.
+    """Fit the linear fluctuation model to per-mu intensity series.
 
-    The sample standard deviation of each series is regressed on mu; the
-    per-point residuals are the deviations from the fitted line.  Needs at
-    least two distinct mu values, each with a series of length >= 2.
+    The sample standard deviation of each series is regressed on mu by
+    closed-form least squares; the per-point residuals are the deviations
+    from the fitted line.  Needs at least two distinct mu values, each with
+    a series of length >= 2; with exactly two the standard errors are NaN.
     """
-    import numpy as np
-
     if len(series_per_mu) < 2:
         raise ValueError("need series for at least two distinct mu values")
     mus = []
     sigmas = []
     for mu in sorted(series_per_mu):
-        series = np.asarray(series_per_mu[mu], dtype=np.float64)
-        if series.size < 2:
+        series = [float(value) for value in series_per_mu[mu]]
+        if len(series) < 2:
             raise ValueError(f"series for mu={mu} has fewer than 2 entries")
+        mean = math.fsum(series) / len(series)
         mus.append(float(mu))
-        sigmas.append(float(series.std(ddof=1)))
-    x = np.array(mus)
-    y = np.array(sigmas)
-    design = np.column_stack([x, np.ones_like(x)])
-    coeffs, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
-    predicted = slope * x + intercept
-    residuals = y - predicted
-    dof = len(x) - 2
-    if dof > 0:
-        variance = float(residuals @ residuals) / dof
-        covariance = variance * np.linalg.inv(design.T @ design)
-        slope_se = math.sqrt(covariance[0, 0])
-        intercept_se = math.sqrt(covariance[1, 1])
+        sigmas.append(math.sqrt(math.fsum((v - mean) ** 2 for v in series) / (len(series) - 1)))
+    n = len(mus)
+    mu_bar, sigma_bar = math.fsum(mus) / n, math.fsum(sigmas) / n
+    s_xx = math.fsum((x - mu_bar) ** 2 for x in mus)
+    s_xy = math.fsum((x - mu_bar) * (y - sigma_bar) for x, y in zip(mus, sigmas))
+    slope = s_xy / s_xx
+    intercept = sigma_bar - slope * mu_bar
+    residuals = [y - (slope * x + intercept) for x, y in zip(mus, sigmas)]
+    if n > 2:
+        variance = math.fsum(r * r for r in residuals) / (n - 2)
+        slope_se = math.sqrt(variance / s_xx)
+        intercept_se = math.sqrt(variance * (1.0 / n + mu_bar**2 / s_xx))
     else:
-        slope_se = float("nan")
-        intercept_se = float("nan")
+        slope_se = intercept_se = float("nan")
     points = tuple(
         FitPoint(mu=m, sigma=s, residual=r) for m, s, r in zip(mus, sigmas, residuals)
     )

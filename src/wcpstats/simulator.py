@@ -27,7 +27,7 @@ import numpy as np
 from .coincidence import N_PATTERNS, TIMESTAMP_DTYPE, PatternHistogram
 from .coincidence import click_probabilities, pattern_probabilities
 from .config import DEFAULT_REP_RATE_HZ, FluctuationModel, SourceModel
-from .fileio import read_int_csv, write_text_atomic
+from .fileio import read_int_csv, write_int_csv
 from .optics import EfficiencySet
 from .stats import normal_cdf
 
@@ -215,9 +215,7 @@ def simulate_count_series(
 
 def write_count_series_csv(path: str | Path, series: np.ndarray) -> None:
     """CSV with columns ``cycle_index,counts``."""
-    rows = ["cycle_index,counts"]
-    rows.extend(f"{k},{int(c)}" for k, c in enumerate(series))
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    write_int_csv(path, ("cycle_index", "counts"), np.column_stack((np.arange(len(series)), series)))
 
 
 def read_count_series_csv(path: str | Path) -> np.ndarray:

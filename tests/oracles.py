@@ -156,6 +156,32 @@ def gaussian_overlap_closed_form(m1: float, s1: float, m2: float, s2: float) -> 
     )
 
 
+def lstsq_line_fit(series_per_mu) -> dict:
+    """Line fit of each series' sample sigma on mu, by numpy's lstsq and the normal-matrix covariance.
+
+    Returns the fields of ``FluctuationFit.to_dict()``; with two mu values
+    the standard errors are NaN.
+    """
+    x = np.array(sorted(series_per_mu), dtype=np.float64)
+    y = np.array([np.std(np.asarray(series_per_mu[mu], dtype=np.float64), ddof=1) for mu in sorted(series_per_mu)])
+    design = np.column_stack([x, np.ones_like(x)])
+    (slope, intercept), _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    residuals = y - (slope * x + intercept)
+    dof = len(x) - 2
+    if dof > 0:
+        covariance = float(residuals @ residuals) / dof * np.linalg.inv(design.T @ design)
+        slope_se, intercept_se = np.sqrt(np.diag(covariance))
+    else:
+        slope_se = intercept_se = math.nan
+    return {
+        "slope": float(slope),
+        "intercept": float(intercept),
+        "slope_se": float(slope_se),
+        "intercept_se": float(intercept_se),
+        "points": [{"mu": m, "sigma": s, "residual": r} for m, s, r in zip(x.tolist(), y.tolist(), residuals.tolist())],
+    }
+
+
 def bin_records(records, rep_period_ps: int, n_pulses: int, offset_ps: int = 0, window_ps=None):
     """Pattern counts and the number of discarded records, one record at a time.
 

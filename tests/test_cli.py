@@ -227,6 +227,26 @@ def test_fluct_generate_and_ingest(tmp_path):
     assert read_json(refit_path)["points"][0]["mu"] == 0.3
 
 
+def test_fluct_routes_fit_the_same_quantity(tmp_path):
+    # Simulated counts and the same counts read back from their files are
+    # converted to per-cycle intensities in one place, so both fits agree.
+    series_dir = tmp_path / "series"
+    run_args = ["--pulses-per-cycle", "20000", "--detector", "2"]
+    assert run(
+        ["fluct", "--mu-list", "0.2,0.5,0.8", "--cycles", "30", "--seed", "5",
+         "--series-dir", series_dir, "--out", tmp_path / "simulated.json", *run_args]
+    ) == 0
+    argv = ["fluct", "--out", tmp_path / "files.json", *run_args]
+    for mu in ("0.2", "0.5", "0.8"):
+        argv += ["--series", f"{mu}={series_dir / f'series_mu_{mu}.csv'}"]
+    assert run(argv) == 0
+    simulated, files = read_json(tmp_path / "simulated.json"), read_json(tmp_path / "files.json")
+    assert {k: v for k, v in simulated.items() if k != "meta"} == {k: v for k, v in files.items() if k != "meta"}
+    for key in ("units", "pulses_per_cycle", "detector"):
+        assert simulated["meta"][key] == files["meta"][key]
+    assert files["meta"]["input"] == "series files"
+
+
 def test_sweep_csv_columns(tmp_path):
     out_path = tmp_path / "sweep.csv"
     assert run(
@@ -284,6 +304,37 @@ def test_config_file_overrides(tmp_path):
     assert payload["meta"]["seed"] == 21
 
 
+@pytest.mark.parametrize(
+    "source, flags, resolved",
+    [
+        ({"mu": 0.5}, ["--dark-rate", "0.01", "--fluct-a", "0.2"], {"mu": 0.5, "dark_rate": 0.01, "fluct_a": 0.2}),
+        ({"mu": 0.5, "dark_rate": 0.01}, ["--mu", "0.3"], {"mu": 0.3, "dark_rate": 0.01}),
+    ],
+    ids=["flags-without-mu", "mu-keeps-config-dark-rate"],
+)
+def test_simulate_flags_replace_only_their_own_fields(tmp_path, source, flags, resolved):
+    # A run from the config's source with some flags given equals a run from
+    # a config that holds the resolved source, meta included.
+    paths = []
+    for name, entry, extra in (("flags", source, flags), ("resolved", resolved, [])):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"sources": {"S1": entry}}))
+        paths.append(tmp_path / f"{name}-hist.json")
+        assert run(["simulate", "--config", config, "--pulses", "20000", "--seed", "3",
+                    "--out-histogram", paths[-1], *extra]) == 0
+    from_flags, from_resolved = read_json(paths[0]), read_json(paths[1])
+    assert from_flags == from_resolved
+    assert from_flags["meta"]["dark_rate"] == resolved["dark_rate"]
+    assert from_flags["meta"]["fluct_a"] == resolved.get("fluct_a", 0.0)
+    assert from_flags["meta"]["fluct_b"] == 0.0
+
+
+def test_simulate_mu_for_a_label_outside_the_config(tmp_path):
+    path = tmp_path / "hist.json"
+    assert run(["simulate", "--label", "foo", "--mu", "0.5", "--pulses", "1000", "--out-histogram", path]) == 0
+    assert read_json(path)["meta"]["label"] == "foo"
+
+
 def test_unknown_flag_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--no-such-flag"])
@@ -329,6 +380,8 @@ TIMESTAMPS_ARGV = ["coincidence", "--timestamps", "{path}", "--pulses", "10", "-
         ("channel,time_ps\n1,100\n2,x\n", TIMESTAMPS_ARGV),
         ("channel,time_ps\n1,100\n2,50\n", TIMESTAMPS_ARGV),
         ("channel,time_ps\n1,9000000000000000000\n2,-9000000000000000000\n", TIMESTAMPS_ARGV),
+        ("channel,time_ps\n1,100\n2,1_000\n", TIMESTAMPS_ARGV),
+        ("channel,time_ps\n1,100\n2,300,\n", TIMESTAMPS_ARGV),
     ],
     ids=[
         "series-short-row",
@@ -341,6 +394,8 @@ TIMESTAMPS_ARGV = ["coincidence", "--timestamps", "{path}", "--pulses", "10", "-
         "timestamps-bad-time",
         "timestamps-out-of-order",
         "timestamps-difference-past-int64",
+        "timestamps-digit-separator",
+        "timestamps-trailing-comma",
     ],
 )
 def test_malformed_csv_row_exits_one_naming_the_line(tmp_path, capsys, text, argv):

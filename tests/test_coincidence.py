@@ -1,6 +1,7 @@
 """Tests for click-pattern handling and coincidence analysis."""
 
 import math
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -397,3 +398,28 @@ def test_timestamp_csv_bytes_match_per_row_formatting(tmp_path):
         write_timestamps_csv(path, stream)
         rows = [f"{c},{t}" for c, t in zip(stream["channel"].tolist(), stream["time_ps"].tolist())]
         assert path.read_bytes() == ("\n".join(["channel,time_ps", *rows]) + "\n").encode()
+
+
+def test_timestamp_csv_read_peaks_at_a_small_multiple_of_the_stream(tmp_path):
+    rng = np.random.default_rng(29)
+    times = np.sort(rng.integers(0, 10**11, 27_000))
+    records = np.rec.fromarrays([rng.integers(1, 5, times.size).astype(np.uint8), times], names="channel,time_ps")
+    path = tmp_path / "stamps.csv"
+    write_timestamps_csv(path, records)
+    tracemalloc.start()
+    try:
+        read = read_timestamps_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(read, records)
+    assert peak <= 5 * read.nbytes
+
+
+@pytest.mark.parametrize("body", ["", "\n\n\n"], ids=["header-only", "blank-only"])
+def test_timestamp_csv_without_rows_reads_as_empty_stream(tmp_path, body):
+    path = tmp_path / "stamps.csv"
+    path.write_text("channel,time_ps\n" + body)
+    records = read_timestamps_csv(path)
+    assert len(records) == 0
+    assert records.dtype.names == ("channel", "time_ps")

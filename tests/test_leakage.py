@@ -1,10 +1,15 @@
 """Tests for the information-leakage calculators."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wcpstats
 from wcpstats.fileio import read_json
 from wcpstats.leakage import (
     FluctuationFit,
@@ -23,6 +28,7 @@ from wcpstats.stats import multi_photon_probability
 
 from oracles import (
     gaussian_overlap_closed_form,
+    lstsq_line_fit,
     normal_cdf,
     poisson_term,
     truncated_overlap_quad,
@@ -118,6 +124,33 @@ def test_fit_closed_loop_recovery():
     design = np.column_stack([x, np.ones_like(x)])
     slope_se = math.sqrt(np.linalg.inv(design.T @ weights @ design)[0, 0])
     assert fit.slope == pytest.approx(slope_true, abs=3 * slope_se)
+
+
+@pytest.mark.parametrize("n_mus", [2, 5])
+def test_fit_matches_lstsq_oracle(n_mus):
+    rng = np.random.default_rng(40 + n_mus)
+    series = {mu: rng.normal(mu, 0.05 * mu + 0.01, 40) for mu in np.linspace(0.1, 1.0, n_mus)}
+    fit = fit_fluctuation(series).to_dict()
+    expected = lstsq_line_fit(series)
+    for key in ("slope", "intercept", "slope_se", "intercept_se"):
+        assert fit[key] == pytest.approx(expected[key], rel=1e-12, nan_ok=True)
+    assert math.isnan(fit["slope_se"]) == (n_mus == 2)
+    for point, reference in zip(fit["points"], expected["points"], strict=True):
+        assert point["mu"] == reference["mu"]
+        assert point["sigma"] == pytest.approx(reference["sigma"], rel=1e-12)
+        # Residuals of an exact two-point fit are rounding noise, so compare on the sigma scale.
+        assert point["residual"] == pytest.approx(reference["residual"], rel=1e-12, abs=1e-12 * reference["sigma"])
+
+
+def test_fit_on_plain_lists_loads_no_numpy():
+    # The fit needs no arrays, so a caller with plain lists does not pay numpy's import.
+    code = (
+        "import sys; from wcpstats.leakage import fit_fluctuation;"
+        "fit_fluctuation({0.2: [1.0, 1.2, 0.9], 0.4: [1.5, 1.8, 1.3], 0.6: [2.0, 2.6, 1.7]});"
+        "sys.exit('numpy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wcpstats.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_fit_validation():

@@ -75,7 +75,11 @@ def intensity_from_counts(counts, n_pulses: int, eta_overall: float):
         raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
     if not 0.0 < eta_overall <= 1.0:
         raise ValueError(f"eta_overall must be in (0, 1], got {eta_overall!r}")
-    return np.asarray(counts, dtype=np.float64) / (n_pulses * eta_overall)
+    counts = np.asarray(counts, dtype=np.float64)
+    impossible = counts[~((counts >= 0) & (counts <= n_pulses))]
+    if impossible.size:
+        raise ValueError(f"click counts must lie in 0..{n_pulses}, got {impossible[0]:.17g}")
+    return counts / (n_pulses * eta_overall)
 
 
 def estimate_mu_rigorous(

@@ -19,6 +19,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
+# Lines per block when a CSV that failed to parse is read again to name its first bad line.
+_BLOCK_LINES = 4096
+
 
 def write_text_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
@@ -93,10 +96,12 @@ def read_int_csv(path: str | Path, header: tuple[str, ...], check=lambda *column
     """The rows of an integer CSV as one int64 table of shape (rows, len(header)).
 
     Blank lines are skipped, and ``check(*columns)`` may reject values by
-    raising ValueError.  The body is parsed in one pass from the file, and
-    line by line with the same parser only when that fails, so that the
-    error names the first bad line (each row is checked with the one before
-    it, so that rows out of order are named too).
+    raising ValueError.  The body is parsed in one pass from the file.  When
+    that fails, it is parsed again in blocks of ``_BLOCK_LINES`` lines, and
+    line by line with the same parser only inside the first block that
+    fails, so that the error names the first bad line.  Each block and each
+    line is checked together with the row before it, so that rows out of
+    order are named too.
     """
     import numpy as np
 
@@ -111,15 +116,26 @@ def read_int_csv(path: str | Path, header: tuple[str, ...], check=lambda *column
     except (ValueError, OverflowError) as exc:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
         previous = np.empty((0, len(header)), np.int64)
-        for number, line in enumerate(lines[1:], start=2):
-            if line:
-                try:
-                    row = _int_table([line], len(header))
-                    check(*np.concatenate((previous, row)).T)
-                except (ValueError, OverflowError) as line_exc:
-                    raise ValueError(f"{path}, line {number}: {line_exc}") from None
-                previous = row
+        for start in range(1, len(lines), _BLOCK_LINES):
+            block = lines[start : start + _BLOCK_LINES]
+            try:
+                previous = _last_checked_row(block, previous, check)
+            except (ValueError, OverflowError):
+                for number, line in enumerate(block, start=start + 1):
+                    try:
+                        previous = _last_checked_row([line], previous, check)
+                    except (ValueError, OverflowError) as line_exc:
+                        raise ValueError(f"{path}, line {number}: {line_exc}") from None
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _last_checked_row(lines: list[str], previous: np.ndarray, check) -> np.ndarray:
+    """The last row of ``previous`` followed by the rows of ``lines``, once all of them pass ``check``."""
+    import numpy as np
+
+    rows = np.concatenate((previous, _int_table(lines, previous.shape[1])))
+    check(*rows.T)
+    return rows[-1:]
 
 
 def _int_table(source, width: int, skiprows: int = 0) -> np.ndarray:

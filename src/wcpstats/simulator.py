@@ -4,17 +4,18 @@ Poisson pulses split by passive linear optics give each detector an
 independent Poisson(mu * eta_i) photon number, so the pulses of one
 intensity are independent draws from the 16-pattern product law of
 :func:`coincidence.pattern_probabilities`, with dark counts folded into each
-detector's click probability.  Histograms are drawn from that law with one
-multinomial per stretch of constant intensity; per-pulse patterns compare
-uniform draws with the click probabilities of each pulse's intensity.
+detector's click probability.  A histogram draws one multinomial per stretch
+of constant intensity (the run, or each fluctuation cycle); per-pulse
+patterns invert the stretch's cumulative pattern law with one uniform each.
 
 Determinism contract
 --------------------
-Pulses are processed in chunks of ``CHUNK_SIZE`` and every random draw
-depends only on (seed, stream, chunk index) or (seed, stream, cycle index),
-never on how work is scheduled.  The same configuration and seed therefore
-give the same histogram for every ``workers`` value, and extending a run
-leaves the per-pulse prefix of :func:`simulate_patterns` unchanged.
+Cycle k draws its intensity, then its histogram counts, from (seed, cycle
+stream, k); a steady source is cycle 0.  Per-pulse uniforms come in chunks
+of ``CHUNK_SIZE`` from (seed, pulse stream, chunk index).  No draw depends
+on scheduling, so the same configuration and seed give the same histogram
+for every ``workers`` value, and extending a run leaves the per-pulse
+prefix of :func:`simulate_patterns` unchanged.
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ from .coincidence import N_PATTERNS, TIMESTAMP_DTYPE, PatternHistogram
 from .coincidence import click_probabilities, pattern_probabilities
 from .config import DEFAULT_REP_RATE_HZ, FluctuationModel, SourceModel
 from .fileio import read_int_csv, write_int_csv
-from .optics import EfficiencySet
+from .optics import N_DETECTORS, EfficiencySet
 from .stats import normal_cdf
 
 # Sub-stream tags keeping per-pulse and per-cycle draws independent.
 _PULSE_STREAM = 0
 _CYCLE_STREAM = 1
 
-_PATTERN_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
+# _PATTERN_BITS[p, i] is set when pattern p has detector i + 1 clicking.
+_PATTERN_BITS = (np.arange(N_PATTERNS)[:, None] >> np.arange(N_DETECTORS) & 1).astype(bool)
 
 # Pulses per chunk, the unit of the per-pulse random streams.
 CHUNK_SIZE = 1 << 16
@@ -91,49 +93,23 @@ def _draw_intensity(rng: np.random.Generator, mean: float, sigma: float) -> floa
             return value
 
 
-def _cycle_intensity(source: SourceModel, cfg: SimConfig, cycle_index: int) -> float:
+def _cycle_draws(source: SourceModel, seed: int, cycles: range):
+    """Generator (seed, _CYCLE_STREAM, k) and intensity of each cycle k; a fluctuating intensity is the first draw."""
     sigma = source.fluctuation.sigma(source.mu)
-    if sigma == 0.0:
-        return source.mu
-    _check_truncation(source.mu, sigma)
-    rng = np.random.default_rng([cfg.seed, _CYCLE_STREAM, cycle_index])
-    return _draw_intensity(rng, source.mu, sigma)
+    if sigma > 0.0:
+        _check_truncation(source.mu, sigma)
+    rngs = [np.random.default_rng([seed, _CYCLE_STREAM, k]) for k in cycles]
+    return rngs, [source.mu if sigma == 0.0 else _draw_intensity(rng, source.mu, sigma) for rng in rngs]
 
 
-def _chunk_cycles(source: SourceModel, cfg: SimConfig, chunk_index: int):
-    """Intensity and pulse count of each cycle piece of the run's pulses in one chunk."""
-    start = chunk_index * CHUNK_SIZE
-    stop = min(start + CHUNK_SIZE, cfg.n_pulses)
-    length = cfg.cycle_length
-    first, last = start // length, (stop - 1) // length
-    edges = np.clip(np.arange(first, last + 2) * length, start, stop)
-    intensities = [_cycle_intensity(source, cfg, k) for k in range(first, last + 1)]
-    return np.array(intensities), np.diff(edges)
+def _stretches(source: SourceModel, cfg: SimConfig):
+    """Generators, intensities and pulse edges of the run's stretches of constant intensity.
 
-
-def _chunk_flags(source: SourceModel, cfg: SimConfig, chunk_index: int) -> np.ndarray:
-    """Click flags (bool, pulses x detectors) of the run's pulses in one chunk.
-
-    A run's short last chunk draws a prefix of the full chunk's uniforms,
-    so extending the run keeps its clicks.
+    Stretch j holds pulses edges[j]..edges[j + 1] - 1: fluctuation cycle j, or the whole run (cycle 0) if steady.
     """
-    intensities, lengths = _chunk_cycles(source, cfg, chunk_index)
-    clicks = click_probabilities(intensities, cfg.efficiency_set, source.dark_rate)
-    rng = np.random.default_rng([cfg.seed, _PULSE_STREAM, chunk_index])
-    uniforms = np.split(rng.random((lengths.sum(), len(_PATTERN_WEIGHTS))), np.cumsum(lengths)[:-1])
-    return np.concatenate([u < p for u, p in zip(uniforms, clicks.T)])
-
-
-def _chunk_indices(cfg: SimConfig) -> range:
-    return range((cfg.n_pulses + CHUNK_SIZE - 1) // CHUNK_SIZE)
-
-
-def _chunk_counts(source: SourceModel, cfg: SimConfig, chunk_index: int) -> np.ndarray:
-    """Pattern counts of the run's pulses in one chunk, one multinomial per cycle piece."""
-    intensities, lengths = _chunk_cycles(source, cfg, chunk_index)
-    probs = pattern_probabilities(intensities, cfg.efficiency_set, source.dark_rate)
-    rng = np.random.default_rng([cfg.seed, _PULSE_STREAM, chunk_index])
-    return rng.multinomial(lengths, probs).sum(axis=0)
+    length = cfg.cycle_length if source.fluctuation.sigma(source.mu) else cfg.n_pulses
+    edges = np.append(np.arange(0, cfg.n_pulses, length), cfg.n_pulses)
+    return (*_cycle_draws(source, cfg.seed, range(len(edges) - 1)), edges)
 
 
 def simulate_pulses(source: SourceModel, cfg: SimConfig, workers: int = 1) -> PatternHistogram:
@@ -142,8 +118,39 @@ def simulate_pulses(source: SourceModel, cfg: SimConfig, workers: int = 1) -> Pa
     ``workers`` is accepted for compatibility and has no effect: the
     determinism contract makes the result the same for every value.
     """
-    counts = sum(_chunk_counts(source, cfg, c) for c in _chunk_indices(cfg))
+    rngs, mus, edges = _stretches(source, cfg)
+    probs = pattern_probabilities(mus, cfg.efficiency_set, source.dark_rate)
+    counts = sum(rng.multinomial(n, p) for rng, n, p in zip(rngs, np.diff(edges).tolist(), probs))
     return PatternHistogram(counts=tuple(int(c) for c in counts), total_pulses=cfg.n_pulses)
+
+
+def _chunk_patterns(cfg: SimConfig, cdf: np.ndarray, edges: np.ndarray, chunk_index: int):
+    """Indices and click patterns (uint8) of the pulses in one chunk that click.
+
+    cdf[j] is stretch j's cumulative pattern law, and a pulse whose uniform
+    is at or above k of its entries has pattern k, so one below P(no click)
+    is silent.  A short last chunk draws a prefix of the full chunk's uniforms.
+    """
+    start = chunk_index * CHUNK_SIZE
+    stop = min(start + CHUNK_SIZE, cfg.n_pulses)
+    uniforms = np.random.default_rng([cfg.seed, _PULSE_STREAM, chunk_index]).random(stop - start)
+    pulses, patterns = [], []
+    for j in range(np.searchsorted(edges, start, side="right") - 1, np.searchsorted(edges, stop)):
+        first = max(edges[j], start)
+        u = uniforms[first - start : min(edges[j + 1], stop) - start]
+        hits = np.flatnonzero(u >= cdf[j, 0])
+        pulses.append(first + hits)
+        patterns.append(np.searchsorted(cdf[j], u[hits], side="right").astype(np.uint8))
+    return np.concatenate(pulses), np.concatenate(patterns)
+
+
+def _clicking_pulses(source: SourceModel, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and click patterns of the run's pulses that click, in pulse order."""
+    _, mus, edges = _stretches(source, cfg)
+    cdf = np.cumsum(pattern_probabilities(mus, cfg.efficiency_set, source.dark_rate), axis=-1)
+    cdf[:, -1] = np.inf  # so that rounding cannot produce pattern 16
+    chunks = [_chunk_patterns(cfg, cdf, edges, c) for c in range(-(-cfg.n_pulses // CHUNK_SIZE))]
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
 def simulate_patterns(source: SourceModel, cfg: SimConfig) -> np.ndarray:
@@ -152,8 +159,10 @@ def simulate_patterns(source: SourceModel, cfg: SimConfig) -> np.ndarray:
     Materializes every pulse; intended for moderate run sizes and for
     checking the per-pulse prefix stability of the random stream.
     """
-    flags = (_chunk_flags(source, cfg, c) for c in _chunk_indices(cfg))
-    return np.concatenate([f.astype(np.uint8) @ _PATTERN_WEIGHTS for f in flags])
+    pulses, patterns = _clicking_pulses(source, cfg)
+    out = np.zeros(cfg.n_pulses, dtype=np.uint8)
+    out[pulses] = patterns
+    return out
 
 
 def simulate_timestamps(source: SourceModel, cfg: SimConfig) -> tuple[np.ndarray, PatternHistogram]:
@@ -167,19 +176,13 @@ def simulate_timestamps(source: SourceModel, cfg: SimConfig) -> tuple[np.ndarray
         raise ValueError("emit_timestamps is not set on this configuration")
     if cfg.n_pulses * cfg.rep_period_ps >= 2**63:
         raise ValueError(f"{cfg.n_pulses} pulses of {cfg.rep_period_ps} ps overrun int64 time_ps")
-    counts = np.zeros(N_PATTERNS, dtype=np.int64)
-    channels, times = [], []
-    for chunk_index in _chunk_indices(cfg):
-        flags = _chunk_flags(source, cfg, chunk_index)
-        # Row-major click indices: pulse = hit // 4, detector = hit % 4, sorted by pulse.
-        hits = np.flatnonzero(flags)
-        pulse_ix, det_ix = hits >> 2, hits & 3
-        starts = np.flatnonzero(np.diff(pulse_ix, prepend=-1))
-        counts += np.bincount(np.bitwise_or.reduceat(1 << det_ix, starts), minlength=N_PATTERNS)
-        counts[0] += len(flags) - len(starts)
-        channels.append(det_ix + 1)
-        times.append((chunk_index * CHUNK_SIZE + pulse_ix) * cfg.rep_period_ps + cfg.rep_period_ps // 8)
-    records = np.rec.fromarrays([np.concatenate(channels), np.concatenate(times)], dtype=TIMESTAMP_DTYPE)
+    pulses, patterns = _clicking_pulses(source, cfg)
+    # Row-major click indices: clicking pulse = click // 4, detector = click % 4, sorted by pulse.
+    clicks = np.flatnonzero(_PATTERN_BITS.take(patterns, axis=0))
+    times = pulses[clicks >> 2] * cfg.rep_period_ps + cfg.rep_period_ps // 8
+    records = np.rec.fromarrays([(clicks & 3) + 1, times], dtype=TIMESTAMP_DTYPE)
+    counts = np.bincount(patterns, minlength=N_PATTERNS)
+    counts[0] = cfg.n_pulses - len(patterns)
     histogram = PatternHistogram(counts=tuple(int(c) for c in counts), total_pulses=cfg.n_pulses)
     return records, histogram
 
@@ -204,11 +207,7 @@ def simulate_count_series(
         raise ValueError(f"pulses_per_cycle must be > 0, got {pulses_per_cycle}")
     if detector not in (1, 2, 3, 4):
         raise ValueError(f"detector must be in 1..4, got {detector}")
-    sigma = source.fluctuation.sigma(source.mu)
-    if sigma > 0.0:
-        _check_truncation(source.mu, sigma)
-    rngs = [np.random.default_rng([cfg.seed, _CYCLE_STREAM, k]) for k in range(cycles)]
-    mus = [source.mu if sigma == 0.0 else _draw_intensity(rng, source.mu, sigma) for rng in rngs]
+    rngs, mus = _cycle_draws(source, cfg.seed, range(cycles))
     clicks = click_probabilities(mus, cfg.efficiency_set, source.dark_rate)[detector - 1]
     return np.array([rng.binomial(pulses_per_cycle, p) for rng, p in zip(rngs, clicks)], dtype=np.int64)
 

@@ -420,6 +420,17 @@ def test_bad_histogram_counts_exit_one(tmp_path, capsys, counts, total):
     assert "pattern counts" in capsys.readouterr().err
 
 
+def test_fluct_series_with_more_clicks_than_pulses_exits_one(tmp_path, capsys):
+    argv = ["fluct", "--pulses-per-cycle", "20000", "--out", tmp_path / "fit.json"]
+    for mu, counts in (("0.3", 3_000), ("0.6", 30_000)):
+        path = tmp_path / f"series_mu_{mu}.csv"
+        path.write_text("cycle_index,counts\n" + "".join(f"{k},{counts + k}\n" for k in range(5)))
+        argv += ["--series", f"{mu}={path}"]
+    assert run(argv) == 1
+    assert "got 30000" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
 @pytest.mark.parametrize("spec", ["nonsense", "x=series.csv"])
 def test_bad_series_spec_exits_one(capsys, spec):
     assert run(["fluct", "--series", spec]) == 1

@@ -1,6 +1,7 @@
 """Tests for click-pattern handling and coincidence analysis."""
 
 import math
+import re
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -26,6 +27,8 @@ from wcpstats.coincidence import (
     write_summary_json,
     write_timestamps_csv,
 )
+
+from wcpstats.fileio import _BLOCK_LINES
 
 from oracles import (
     bin_records,
@@ -414,6 +417,21 @@ def test_timestamp_csv_read_peaks_at_a_small_multiple_of_the_stream(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(read, records)
     assert peak <= 5 * read.nbytes
+
+
+@pytest.mark.parametrize(
+    "line, row",
+    [(_BLOCK_LINES + 2, "2,x"), (_BLOCK_LINES + 1, "9,{time}"), (_BLOCK_LINES + 2, "3,0")],
+    ids=["bad-first-line-of-block", "bad-last-line-of-block", "order-break-across-blocks"],
+)
+def test_timestamp_csv_error_names_the_line_across_blocks(tmp_path, line, row):
+    # Line 1 is the header, so block k holds lines 2 + k * B .. 1 + (k + 1) * B.
+    rows = [f"1,{10 * number}" for number in range(2, 2 * _BLOCK_LINES + 2)]
+    rows[line - 2] = row.format(time=10 * line)
+    path = tmp_path / "stamps.csv"
+    path.write_text("channel,time_ps\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: ")):
+        read_timestamps_csv(path)
 
 
 @pytest.mark.parametrize("body", ["", "\n\n\n"], ids=["header-only", "blank-only"])

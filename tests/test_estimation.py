@@ -171,6 +171,10 @@ def test_intensity_from_counts():
     assert values == pytest.approx([0.1, 0.2])
     with pytest.raises(ValueError):
         intensity_from_counts([1], 0, 0.1)
+    assert intensity_from_counts([0, 10_000], 10_000, 0.1) == pytest.approx([0.0, 10.0])
+    for counts, named in (([5, -1], "got -1"), ([10_001], "got 10001")):
+        with pytest.raises(ValueError, match=named):
+            intensity_from_counts(counts, 10_000, 0.1)
 
 
 def test_point_seed_deterministic():

@@ -155,6 +155,37 @@ def test_pattern_histograms_fit_the_pattern_law(sample, n_pulses):
     assert chdtrc(15, statistic) > 1e-3
 
 
+def test_billion_pulse_histogram_is_one_draw_of_the_pattern_law():
+    mu, n_pulses = 0.1, 10**9
+    eff = default_efficiency_set()
+    counts = np.array(simulate_pulses(SourceModel(label="S1", mu=mu), _cfg(n_pulses, seed=47, eff=eff)).counts)
+    assert counts.sum() == n_pulses
+    for detector, eta in enumerate(eff.eta):
+        clicks = counts[[p for p in range(16) if p >> detector & 1]].sum()
+        expected = -math.expm1(-mu * eta)
+        assert abs(clicks / n_pulses - expected) <= 5 * math.sqrt(expected * (1 - expected) / n_pulses)
+
+
+def test_steady_source_histogram_is_one_stretch():
+    # A steady source draws one multinomial for the whole run, whatever the cycle grid.
+    source = SourceModel(label="S1", mu=0.4)
+    cycled = simulate_pulses(source, _cfg(50_000, seed=53, cycle_pulses=1_000))
+    assert cycled == simulate_pulses(source, _cfg(50_000, seed=53))
+
+
+def test_histogram_and_per_pulse_paths_share_the_cycle_intensities():
+    # Two-sample chi-square homogeneity test: an intensity jitter of sigma = 0.1
+    # over 4 cycles would separate the two samples if they drew different intensities.
+    source = SourceModel(label="S1", mu=0.5, fluctuation=FluctuationModel(slope=0.2))
+    cfg = _cfg(400_000, seed=59, eff=default_efficiency_set(), cycle_pulses=100_000)
+    first = np.array(simulate_pulses(source, cfg).counts)
+    second = np.bincount(simulate_patterns(source, cfg), minlength=16)
+    expected = (first + second) / 2
+    cells = expected >= 5
+    statistic = float(np.sum(((first - expected) ** 2 + (second - expected) ** 2)[cells] / expected[cells]))
+    assert chdtrc(cells.sum() - 1, statistic) > 1e-3
+
+
 def test_count_series_poisson_limit():
     # Without excess fluctuation the per-cycle counts are binomial.
     source = SourceModel(label="S1", mu=0.5)

@@ -13,30 +13,32 @@ Non-uniform efficiencies enter through the shape factors
     s_j = sum over |W| = j of prod_{i in W} eta_i / C(4, j)
     xi_{i,j} = s_i / (s_j * eta_bar**(i-j)) - 1
 
-where s_1 is the mean efficiency eta_bar itself, the unique extension
-consistent with the uniform case (all xi vanish when the four
-efficiencies are equal; so does the distinction between the two
-normalizations).  With this normalization the lower tail bound collapses
-to the exact statement p_{>=4} >= c_obs,4: a four-fold coincidence needs
-at least four photons.  The ten bound formulas below are evaluated
-exactly as written, without clipping; a separate clipped view intersects
-the raw intervals with [0, 1] for reporting, since sampling noise can
-push raw bounds slightly outside.
+where s_j is ``optics.subset_product_means`` of the efficiencies, as the
+Poisson model's c_r is of the click marginals, and s_1 is the mean
+efficiency eta_bar itself, the unique extension consistent with the
+uniform case (all xi vanish when the four efficiencies are equal; so
+does the distinction between the two normalizations).  With this
+normalization the lower tail bound collapses to the exact statement
+p_{>=4} >= c_obs,4: a four-fold coincidence needs at least four photons.
+The ten bound formulas below are evaluated exactly as written, without
+clipping; a separate clipped view intersects the raw intervals with
+[0, 1] for reporting, since sampling noise can push raw bounds slightly
+outside.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .coincidence import CoincidenceSummary, subsets_of_order
+from .coincidence import CoincidenceSummary
 from .fileio import write_json_atomic
-from .optics import N_DETECTORS, validate_efficiencies
+from .optics import N_DETECTORS, subset_product_means, validate_efficiencies
 
 BOUND_LABELS = ("0", "1", "2", "3", "ge4")
+_XI_INDICES = tuple((i, j) for i in range(2, N_DETECTORS + 1) for j in range(1, i))
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,8 @@ class ShapeFactors:
     xi: Mapping[tuple[int, int], float]
 
     def __post_init__(self) -> None:
-        expected = {(i, j) for i in range(2, N_DETECTORS + 1) for j in range(1, i)}
-        if set(self.xi) != expected:
-            raise ValueError(f"xi must hold exactly the index pairs {sorted(expected)}")
+        if set(self.xi) != set(_XI_INDICES):
+            raise ValueError(f"xi must hold exactly the index pairs {list(_XI_INDICES)}")
 
 
 def shape_factors(eta: Sequence[float]) -> ShapeFactors:
@@ -61,21 +62,13 @@ def shape_factors(eta: Sequence[float]) -> ShapeFactors:
     eta = validate_efficiencies(eta)
     if any(x == 0.0 for x in eta):
         raise ValueError("shape factors need strictly positive efficiencies")
-    s = tuple(
-        math.fsum(math.prod(eta[i - 1] for i in w) for w in subsets_of_order(j))
-        / comb(N_DETECTORS, j)
-        for j in range(1, N_DETECTORS + 1)
-    )
+    s = subset_product_means(eta)
     eta_bar = s[0]
     if len(set(eta)) == 1:
         # Equal efficiencies make every xi vanish identically.
-        xi = {(i, j): 0.0 for i in range(2, 5) for j in range(1, i)}
+        xi = dict.fromkeys(_XI_INDICES, 0.0)
     else:
-        xi = {
-            (i, j): s[i - 1] / (s[j - 1] * eta_bar ** (i - j)) - 1.0
-            for i in range(2, 5)
-            for j in range(1, i)
-        }
+        xi = {(i, j): s[i - 1] / (s[j - 1] * eta_bar ** (i - j)) - 1.0 for i, j in _XI_INDICES}
     return ShapeFactors(s=s, xi=xi)
 
 
@@ -219,7 +212,6 @@ def evaluate_bounds(
 
 def photon_number_bounds(summary: CoincidenceSummary, eta: Sequence[float]) -> PhotonNumberBounds:
     """Bounds on p_0..p_3 and p_{>=4} from observed coincidences."""
-    eta = validate_efficiencies(eta)
     factors = shape_factors(eta)
     return evaluate_bounds(normalized_coincidences(summary, factors), factors.s[0], factors)
 

@@ -5,7 +5,8 @@ arrived, so the analysis works on per-pulse click patterns.  This module
 turns raw data (patterns or time-tagger records) into subset coincidence
 probabilities c_W (all detectors in a subset W click, regardless of the
 rest) and their order averages c_r, and evaluates the matching theoretical
-model for Poisson pulses in product form.
+model for Poisson pulses in product form: c_r is the subset-product mean of
+the click marginals, as the bounds' shape factor s_r is of the efficiencies.
 
 Conventions
 -----------
@@ -20,12 +21,11 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .fileio import json_float, json_int, read_int_csv, read_json, write_int_csv, write_json_atomic
-from .optics import N_DETECTORS, validate_efficiencies
+from .fileio import json_float, json_int, json_keys, read_int_csv, read_json, write_int_csv, write_json_atomic
+from .optics import N_DETECTORS, SUBSETS_PER_ORDER, subset_product_means, validate_efficiencies
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,7 +43,15 @@ _CONSISTENCY_TOL = 1e-12
 _SUBSETS_BY_ORDER: tuple[tuple[frozenset[int], ...], ...] = tuple(
     tuple(frozenset(c) for c in combinations(DETECTORS, r)) for r in range(N_DETECTORS + 1)
 )
-_SUBSETS_PER_ORDER = tuple(float(comb(N_DETECTORS, r)) for r in ORDERS)
+# Every nonempty subset, by size, with its click-pattern mask and its summary-file key.
+_SUBSETS: dict[frozenset[int], tuple[int, str]] = {
+    w: (sum(1 << (i - 1) for i in w), ",".join(map(str, sorted(w))))
+    for r in ORDERS
+    for w in _SUBSETS_BY_ORDER[r]
+}
+_SUBSET_OF_KEY = {key: w for w, (_, key) in _SUBSETS.items()}
+# Each pair (V, W) of them with V a proper subset of W.
+_NESTED_PAIRS = tuple((v, w) for w in _SUBSETS for v in _SUBSETS if v < w)
 
 
 def __getattr__(name: str):
@@ -65,7 +73,7 @@ def subsets_of_order(r: int) -> tuple[frozenset[int], ...]:
 
 def _order_average(subset_probs: Mapping[frozenset[int], float], r: int):
     """c_r: the mean of c_W over the C(4, r) subsets W of size r."""
-    return sum(subset_probs[w] for w in subsets_of_order(r)) / comb(N_DETECTORS, r)
+    return sum(subset_probs[w] for w in _SUBSETS_BY_ORDER[r]) / SUBSETS_PER_ORDER[r - 1]
 
 
 @dataclass(frozen=True)
@@ -125,8 +133,7 @@ class CoincidenceSummary:
     def __post_init__(self) -> None:
         if self.total_pulses <= 0:
             raise ValueError(f"total_pulses must be > 0, got {self.total_pulses}")
-        expected_keys = {w for r in ORDERS for w in subsets_of_order(r)}
-        if set(self.subset_probs) != expected_keys:
+        if self.subset_probs.keys() != _SUBSETS.keys():
             raise ValueError("subset_probs must cover every nonempty detector subset")
         for w, p in self.subset_probs.items():
             if not (0.0 <= p <= 1.0):
@@ -137,12 +144,9 @@ class CoincidenceSummary:
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"order_probs[{k}] out of range: {p!r}")
         # Supersets can only lose pulses: V subset of W implies c_W <= c_V.
-        for w, p in self.subset_probs.items():
-            for v in self.subset_probs:
-                if v < w and p > self.subset_probs[v] + _CONSISTENCY_TOL:
-                    raise ValueError(
-                        f"monotonicity violated: c_{sorted(w)} > c_{sorted(v)}"
-                    )
+        for v, w in _NESTED_PAIRS:
+            if self.subset_probs[w] > self.subset_probs[v] + _CONSISTENCY_TOL:
+                raise ValueError(f"monotonicity violated: c_{sorted(w)} > c_{sorted(v)}")
         for r in ORDERS:
             mean = _order_average(self.subset_probs, r)
             if abs(mean - self.order_probs[r - 1]) > _CONSISTENCY_TOL:
@@ -157,22 +161,17 @@ class CoincidenceSummary:
         return self.order_probs[r - 1]
 
     def to_dict(self) -> dict:
-        subsets = {
-            ",".join(str(d) for d in sorted(w)): p for w, p in self.subset_probs.items()
-        }
         return {
             "total_pulses": self.total_pulses,
-            "subsets": subsets,
+            "subsets": {key: self.subset_probs[w] for w, (_, key) in _SUBSETS.items()},
             "orders": list(self.order_probs),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CoincidenceSummary":
         try:
-            subset_probs = {
-                frozenset(int(d) for d in key.split(",")): json_float(p, f"subset {key}")
-                for key, p in data["subsets"].items()
-            }
+            subsets = json_keys(data["subsets"], tuple(_SUBSET_OF_KEY), "subset")
+            subset_probs = {_SUBSET_OF_KEY[key]: json_float(p, f"subset {key}") for key, p in subsets.items()}
             order_probs = tuple(json_float(x, "order probability") for x in data["orders"])
             total_pulses = json_int(data["total_pulses"], "total_pulses")
         except (TypeError, AttributeError) as exc:
@@ -189,9 +188,7 @@ def _summary_from_patterns(weights: Sequence, total_pulses: int) -> CoincidenceS
         for m in range(N_PATTERNS):
             if not m & bit:
                 hits[m] += hits[m | bit]
-    subset_probs = {
-        w: hits[sum(1 << (i - 1) for i in w)] / hits[0] for r in ORDERS for w in subsets_of_order(r)
-    }
+    subset_probs = {w: hits[mask] / hits[0] for w, (mask, _) in _SUBSETS.items()}
     order_probs = tuple(_order_average(subset_probs, r) for r in ORDERS)
     return CoincidenceSummary(subset_probs=subset_probs, order_probs=order_probs, total_pulses=total_pulses)
 
@@ -326,27 +323,22 @@ def pattern_probabilities(mu, eta: Sequence[float], dark_rate: float = 0.0):
 def poisson_coincidence_model(mu, eta: Sequence[float]):
     """Expected order-averaged coincidences c_1..c_4 for a Poisson source.
 
-    c_r = e_r(q) / C(4, r), with e_r the elementary symmetric polynomial of
-    the click marginals q, built by a recurrence that adds only positive
-    terms.  A float ``mu`` gives a tuple (c_1, c_2, c_3, c_4); an array of
-    mu gives an array with one such row per value.
+    c_r = e_r(q) / C(4, r), the subset-product mean of the click marginals
+    q.  A float ``mu`` gives a tuple (c_1, c_2, c_3, c_4); an array of mu
+    gives an array with one such row per value.
     """
     import numpy as np
 
-    symmetric = np.zeros((N_DETECTORS + 1,) + np.shape(mu))
-    symmetric[0] = 1.0
-    for q in click_probabilities(mu, eta):
-        symmetric[1:] += symmetric[:-1] * q
-    orders = np.moveaxis(symmetric[1:], 0, -1) / _SUBSETS_PER_ORDER
-    if orders.ndim == 1:
-        return tuple(float(c) for c in orders)
-    return orders
+    q = click_probabilities(mu, eta)
+    if q.ndim == 1:
+        return subset_product_means(q.tolist())
+    return np.stack(subset_product_means(q), axis=-1)
 
 
 def model_subset_probability(mu: float, eta: Sequence[float], subset: Iterable[int]) -> float:
     """Exact probability that every detector in ``subset`` clicks."""
     w = frozenset(subset)
-    if not w or not w <= set(DETECTORS):
+    if w not in _SUBSETS:
         raise ValueError(f"subset must be a nonempty subset of {DETECTORS}, got {sorted(w)}")
     return model_summary(mu, eta, 1).subset_probs[w]
 

@@ -168,7 +168,6 @@ def poissonity_test(
     one degree of freedom is charged for the fitted mu.  Passes when the
     statistic stays below the requested chi-square percentile.
     """
-    eta = validate_efficiencies(eta)
     model = poisson_coincidence_model(mu_hat, eta)
     n = summary.total_pulses
     used = []

@@ -82,7 +82,7 @@ def json_keys(data: dict, keys: tuple[str, ...], where: str) -> dict:
     """``data``, once it is known to hold no key outside ``keys``."""
     unknown = sorted(data.keys() - set(keys))
     if unknown:
-        raise TypeError(f"unknown {where} key(s) {', '.join(unknown)}")
+        raise TypeError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}")
     return data
 
 

@@ -17,8 +17,24 @@ from typing import Sequence
 from .fileio import json_float, json_keys
 
 N_DETECTORS = 4
+SUBSETS_PER_ORDER = tuple(float(math.comb(N_DETECTORS, r)) for r in range(1, N_DETECTORS + 1))
 
 _SUM_TOL = 1e-12
+
+
+def subset_product_means(values):
+    """(m_1..m_4), m_r = e_r(values) / C(4, r): the mean over size-r detector subsets of their product.
+
+    The elementary symmetric e_r grow one value at a time as e_r += e_{r-1} * value,
+    adding only positive terms.  Works element-wise on numpy arrays of one shape.
+    """
+    e = [values[0]]
+    for value in values[1:]:
+        e.append(e[-1] * value)
+        for r in range(len(e) - 2, 0, -1):
+            e[r] = e[r] + e[r - 1] * value
+        e[0] = e[0] + value
+    return tuple(x / count for x, count in zip(e, SUBSETS_PER_ORDER))
 
 
 @dataclass(frozen=True)
@@ -145,8 +161,8 @@ class EfficiencySet:
 
     @property
     def eta_bar(self) -> float:
-        """Arithmetic mean of the four overall efficiencies."""
-        return math.fsum(self.eta) / N_DETECTORS
+        """Arithmetic mean of the four overall efficiencies, s_1 of the shape factors."""
+        return subset_product_means(self.eta)[0]
 
     @classmethod
     def from_overall(cls, eta: Sequence[float]) -> "EfficiencySet":

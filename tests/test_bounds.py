@@ -13,7 +13,9 @@ from wcpstats.bounds import (
     write_bounds_json,
 )
 from wcpstats.coincidence import model_summary
+from wcpstats.config import default_efficiency_set
 from wcpstats.fileio import read_json
+from wcpstats.optics import EfficiencySet
 
 from oracles import exhaustive_shape_moments, poisson_term
 
@@ -63,6 +65,15 @@ def test_shape_factors_match_subset_enumeration():
     expected = exhaustive_shape_moments(eta)
     for got, want in zip(factors.s, expected):
         assert got == pytest.approx(want, abs=1e-15)
+    rng = np.random.default_rng(2718)
+    sets = [default_efficiency_set(), EfficiencySet.from_overall(TABLE_ETA)] + [
+        EfficiencySet.from_overall(rng.uniform(0.001, 0.25, size=4)) for _ in range(50)
+    ]
+    for eff in sets:
+        factors = shape_factors(eff)
+        assert factors.s == pytest.approx(exhaustive_shape_moments(eff.eta), rel=1e-15, abs=0.0)
+        # bounds.json reports eta_bar as meta; it must be the s_1 the formulas used.
+        assert eff.eta_bar == factors.s[0]
 
 
 def test_xi_two_evaluation_routes_agree():

@@ -530,13 +530,18 @@ SUMMARY_ARGV = ["bounds", "--summary", "{path}", "--out", "{out}"]
         ({"eta_b": [0.1] * 4, "eta_d": "0.5"}, ESTIMATE_EFF_ARGV, "efficiency data"),
         ({**SUMMARY, "subsets": {**SUMMARY["subsets"], "1": "0.1"}}, SUMMARY_ARGV, "coincidence summary"),
         ({**SUMMARY, "orders": [0.1, False, 0.0, 0.0]}, SUMMARY_ARGV, "coincidence summary"),
+        ({**SUMMARY, "subsets": {**SUMMARY["subsets"], "a": 0.0}}, SUMMARY_ARGV, "coincidence summary"),
+        ({**SUMMARY, "subsets": {**SUMMARY["subsets"], "1,,2": 0.0}}, SUMMARY_ARGV, "coincidence summary"),
+        ({**SUMMARY, "subsets": {**SUMMARY["subsets"], "1,2": 0.9, "2,1": 0.0}}, SUMMARY_ARGV,
+         "coincidence summary"),
     ],
     ids=["list-histogram", "bool-histogram-total", "list-config", "scalar-source", "list-geometry", "fractional-pulses",
          "fractional-seed", "bool-pulses", "unknown-key", "unknown-source-key",
          "unknown-splitter-key", "bool-detector-order", "repeated-key", "repeated-nested-key",
          "bool-rep-rate", "string-eta_d", "bool-eta_c-entry", "string-mu", "bool-dark-rate",
          "bool-splitter-ratio", "eta-with-eta_d", "eta_b-with-eta", "bool-eta-entry",
-         "estimate-bool-eta_b-entry", "estimate-string-eta_d", "string-subset-prob", "bool-order-prob"],
+         "estimate-bool-eta_b-entry", "estimate-string-eta_d", "string-subset-prob", "bool-order-prob",
+         "letter-subset-key", "empty-field-subset-key", "subset-spelled-twice"],
 )
 def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message):
     path = tmp_path / "input.json"

@@ -147,6 +147,19 @@ def test_summary_validation_rejects_inconsistency():
         )
 
 
+def test_summary_validation_checks_every_nested_pair():
+    # No one-detector step exceeds the tolerance, but c_{1,2,3} exceeds c_{1} by 1.8e-12.
+    p, step = 0.5, 0.9e-12
+    raised = {frozenset({1, 2}): p + step, frozenset({1, 3}): p + step, frozenset({2, 3}): p + step,
+              frozenset({1, 2, 3}): p + 2 * step}
+    subset_probs = {w: raised.get(w, p) for r in (1, 2, 3, 4) for w in subsets_of_order(r)}
+    order_probs = tuple(
+        math.fsum(subset_probs[w] for w in subsets_of_order(r)) / comb(4, r) for r in (1, 2, 3, 4)
+    )
+    with pytest.raises(ValueError, match="monotonicity violated"):
+        CoincidenceSummary(subset_probs=subset_probs, order_probs=order_probs, total_pulses=1000)
+
+
 def test_observed_coincidences_rejects_empty_run():
     empty = PatternHistogram(counts=(0,) * 16, total_pulses=0)
     with pytest.raises(ValueError):

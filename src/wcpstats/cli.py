@@ -57,7 +57,7 @@ def _out_path(raw: str) -> Path:
 
 def _efficiency_from_args(args, config: RunConfig) -> EfficiencySet:
     if args.eff:
-        return EfficiencySet.from_dict(read_json(args.eff))
+        return read_json(args.eff, EfficiencySet.from_dict, "efficiency data")
     return config.efficiency_set()
 
 
@@ -183,11 +183,8 @@ def _parse_source_spec(spec: str) -> tuple[str, float, float]:
 
 
 def cmd_leakage(args) -> int:
-    lines = []
+    lines = [f"R={value:.4f} -> I'(A:E)={pairwise_leakage(value):.4f}" for value in args.pair_r or ()]
     reports = []
-    if args.pair_r:
-        for value in args.pair_r:
-            lines.append(f"R={value:.4f} -> I'(A:E)={pairwise_leakage(value):.4f}")
     if args.source:
         distributions = {}
         for spec in args.source:
@@ -211,6 +208,7 @@ def cmd_leakage(args) -> int:
         write_leakage_json(
             _out_path(args.out),
             reports,
+            pair_r=args.pair_r,
             mu=args.mu,
             mu_single=args.mu_single,
             mu_rigorous=args.mu_rigorous,
@@ -220,7 +218,7 @@ def cmd_leakage(args) -> int:
 
 
 def cmd_fluct(args) -> int:
-    from .estimation import intensity_from_counts
+    from .estimation import intensity_from_counts, point_seed
     from .simulator import SimConfig, read_count_series_csv, simulate_count_series, write_count_series_csv
 
     eff = RunConfig.load(args.config).efficiency_set()
@@ -243,9 +241,9 @@ def cmd_fluct(args) -> int:
         repeats = [mu for k, mu in enumerate(mus) if mu in mus[:k]]
         if repeats:
             raise ValueError(f"mu={repeats[0]:g} given twice in --mu-list")
-        for mu in mus:
+        for k, mu in enumerate(mus):
             source = SourceModel(args.label, mu, FluctuationModel(slope=args.fluct_a, intercept=args.fluct_b))
-            cfg = SimConfig(n_pulses=args.pulses_per_cycle, seed=args.seed, efficiency_set=eff)
+            cfg = SimConfig(n_pulses=args.pulses_per_cycle, seed=point_seed(args.seed, k), efficiency_set=eff)
             counts = simulate_count_series(source, args.cycles, args.pulses_per_cycle, cfg, detector=args.detector)
             if args.series_dir:
                 write_count_series_csv(_out_path(args.series_dir) / f"series_mu_{mu:g}.csv", counts)
@@ -380,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, InsufficientDataError, ConvergenceError, OSError, KeyError) as exc:
+    except (ValueError, InsufficientDataError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

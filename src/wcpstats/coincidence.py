@@ -102,10 +102,7 @@ class PatternHistogram:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PatternHistogram":
-        try:
-            return cls(counts=data["counts"], total_pulses=json_int(data["total_pulses"], "total_pulses"))
-        except TypeError as exc:
-            raise ValueError(f"malformed pattern histogram: {exc}") from None
+        return cls(counts=data["counts"], total_pulses=json_int(data["total_pulses"], "total_pulses"))
 
 
 @dataclass(frozen=True)
@@ -169,14 +166,12 @@ class CoincidenceSummary:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CoincidenceSummary":
-        try:
-            subsets = json_keys(data["subsets"], tuple(_SUBSET_OF_KEY), "subset")
-            subset_probs = {_SUBSET_OF_KEY[key]: json_float(p, f"subset {key}") for key, p in subsets.items()}
-            order_probs = tuple(json_float(x, "order probability") for x in data["orders"])
-            total_pulses = json_int(data["total_pulses"], "total_pulses")
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed coincidence summary: {exc}") from None
-        return cls(subset_probs=subset_probs, order_probs=order_probs, total_pulses=total_pulses)
+        subsets = json_keys(data["subsets"], tuple(_SUBSET_OF_KEY), "subset")
+        return cls(
+            subset_probs={w: json_float(subsets[key], f"subset {key}") for key, w in _SUBSET_OF_KEY.items()},
+            order_probs=tuple(json_float(x, "order probability") for x in data["orders"]),
+            total_pulses=json_int(data["total_pulses"], "total_pulses"),
+        )
 
 
 def _summary_from_patterns(weights: Sequence, total_pulses: int) -> CoincidenceSummary:
@@ -380,7 +375,7 @@ def write_histogram_json(path: str | Path, hist: PatternHistogram, meta: dict | 
 
 
 def read_histogram_json(path: str | Path) -> PatternHistogram:
-    return PatternHistogram.from_dict(read_json(path))
+    return read_json(path, PatternHistogram.from_dict, "pattern histogram")
 
 
 def write_summary_json(path: str | Path, summary: CoincidenceSummary, meta: dict | None = None) -> None:
@@ -391,4 +386,4 @@ def write_summary_json(path: str | Path, summary: CoincidenceSummary, meta: dict
 
 
 def read_summary_json(path: str | Path) -> CoincidenceSummary:
-    return CoincidenceSummary.from_dict(read_json(path))
+    return read_json(path, CoincidenceSummary.from_dict, "coincidence summary")

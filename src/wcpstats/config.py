@@ -149,23 +149,20 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        try:
-            json_keys(data, ("geometry", "eta_c", "eta_d", "rep_rate_hz", "pulses", "seed", "sources"), "config")
-            kwargs = {key: json_float(data[key], key) for key in ("eta_d", "rep_rate_hz") if key in data}
-            kwargs.update((key, json_int(data[key], key)) for key in ("pulses", "seed") if key in data)
-            if "geometry" in data:
-                kwargs["tree"] = _tree_from_dict(data["geometry"])
-            if "eta_c" in data:
-                kwargs["eta_c"] = json_coupling(data["eta_c"])
-            kwargs["sources"] = {
-                label: _source_from_dict(label, entry) for label, entry in data.get("sources", {}).items()
-            }
-            return cls(**kwargs)
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed run config: {exc}") from None
+        json_keys(data, ("geometry", "eta_c", "eta_d", "rep_rate_hz", "pulses", "seed", "sources"), "config")
+        kwargs = {key: json_float(data[key], key) for key in ("eta_d", "rep_rate_hz") if key in data}
+        kwargs.update((key, json_int(data[key], key)) for key in ("pulses", "seed") if key in data)
+        if "geometry" in data:
+            kwargs["tree"] = _tree_from_dict(data["geometry"])
+        if "eta_c" in data:
+            kwargs["eta_c"] = json_coupling(data["eta_c"])
+        kwargs["sources"] = {
+            label: _source_from_dict(label, entry) for label, entry in data.get("sources", {}).items()
+        }
+        return cls(**kwargs)
 
     @classmethod
     def load(cls, path: str | None) -> "RunConfig":
         if path is None:
             return cls()
-        return cls.from_dict(read_json(path))
+        return read_json(path, cls.from_dict, "run config")

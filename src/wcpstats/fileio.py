@@ -45,12 +45,27 @@ def write_json_atomic(path: str | Path, payload) -> None:
     write_text_atomic(path, dump_json(payload))
 
 
-def read_json(path: str | Path):
+def read_json(path: str | Path, build=None, what: str = ""):
+    """The JSON value in ``path``, or ``build`` of it, which must then be an object.
+
+    This is the one place a badly shaped file becomes an error: a top level
+    that is not an object, or a TypeError, AttributeError or KeyError that
+    ``build`` raises, is reported as ValueError ``malformed <what>: ...``.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle, object_pairs_hook=_unique_keys)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: malformed JSON: {exc}") from None
+    if build is None:
+        return data
+    try:
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        return build(data)
+    except (TypeError, AttributeError, KeyError) as exc:
+        reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed {what}: {reason}") from None
 
 
 def _unique_keys(pairs: list) -> dict:

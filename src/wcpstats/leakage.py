@@ -9,8 +9,8 @@ overlap correlation R maps to a side-channel leakage I'(A:E) that vanishes
 only for identical distributions.
 
 Count distributions are modeled as Gaussians truncated at zero: the
-density is kept un-renormalized on the positive axis and the mass at or
-below zero is reported separately as the probability of no detection.
+density is kept un-renormalized on the positive axis; the mass at or below
+zero, the probability of no detection, is ``SourceDistribution.truncated_mass``.
 Overlap integrals run over the positive axis only and are evaluated in
 closed form.
 """
@@ -237,13 +237,16 @@ def write_leakage_json(
     mu_single: float | None = None,
     mu_rigorous: float | None = None,
     meta: dict | None = None,
+    pair_r: Sequence[float] | None = None,
 ) -> None:
-    """Leakage report file: pairwise entries plus optional scalar blocks."""
+    """Leakage report file: pairwise entries plus optional blocks, one ``pair_r`` entry per given R."""
     payload: dict = {
         "pairs": [
             {"pair": r.pair, "R": r.correlation, "I_prime": r.info_leak} for r in reports
         ]
     }
+    if pair_r:
+        payload["pair_r"] = [{"R": r, "I_prime": pairwise_leakage(r)} for r in pair_r]
     if mu is not None:
         payload["multi_photon"] = {"mu": mu, "I_AE": info_leakage(mu)}
     if mu_single is not None and mu_rigorous is not None:

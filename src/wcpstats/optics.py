@@ -11,7 +11,7 @@ for the counting statistics of coherent pulses on non-interfering paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .fileio import json_float, json_keys
@@ -126,13 +126,15 @@ class EfficiencySet:
     """Per-detector efficiencies decomposed into branching x coupling x detector.
 
     ``eta_c`` may be a single scalar applied to every arm or a 4-vector for
-    asymmetric coupling.  The overall efficiencies and their average are
-    derived, never stored, so they cannot drift out of sync with the factors.
+    asymmetric coupling.  The overall efficiency per detector,
+    ``eta`` = eta_b,i * eta_c,i * eta_d, is derived once from the factors when
+    the frozen set is built, so it cannot drift out of sync with them.
     """
 
     eta_b: tuple[float, float, float, float]
     eta_c: float | tuple[float, float, float, float] = 1.0
     eta_d: float = 1.0
+    eta: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.eta_b) != N_DETECTORS:
@@ -141,23 +143,15 @@ class EfficiencySet:
         for x in self.eta_b:
             if not (math.isfinite(x) and 0.0 <= x <= 1.0):
                 raise ValueError(f"branching efficiency out of [0, 1]: {x!r}")
-        _coupling_vector(self.eta_c)
+        coupling = _coupling_vector(self.eta_c)
         if not (math.isfinite(self.eta_d) and 0.0 <= self.eta_d <= 1.0):
             raise ValueError(f"detector efficiency out of [0, 1]: {self.eta_d!r}")
-        if sum(self.eta) > 1.0 + _SUM_TOL:
+        eta = tuple(b * c * self.eta_d for b, c in zip(self.eta_b, coupling))
+        if sum(eta) > 1.0 + _SUM_TOL:
             raise ValueError(
                 "overall efficiencies sum above 1; a photon can reach at most one detector"
             )
-
-    @property
-    def coupling(self) -> tuple[float, float, float, float]:
-        return _coupling_vector(self.eta_c)
-
-    @property
-    def eta(self) -> tuple[float, float, float, float]:
-        """Overall efficiency per detector: eta_b,i * eta_c,i * eta_d."""
-        c = self.coupling
-        return tuple(self.eta_b[i] * c[i] * self.eta_d for i in range(N_DETECTORS))
+        object.__setattr__(self, "eta", eta)
 
     @property
     def eta_bar(self) -> float:
@@ -171,21 +165,16 @@ class EfficiencySet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EfficiencySet":
-        if not isinstance(data, dict):
-            raise ValueError(f"efficiency data must be a JSON object, got {data!r}")
-        try:
-            if "eta_b" in data:
-                json_keys(data, ("eta_b", "eta_c", "eta_d"), "efficiency")
-                return cls(
-                    eta_b=tuple(json_float(x, "eta_b entry") for x in data["eta_b"]),
-                    eta_c=json_coupling(data.get("eta_c", 1.0)),
-                    eta_d=json_float(data.get("eta_d", 1.0), "eta_d"),
-                )
-            if "eta" in data:
-                eta = json_keys(data, ("eta",), "efficiency")["eta"]
-                return cls.from_overall([json_float(x, "eta entry") for x in eta])
-        except TypeError as exc:
-            raise ValueError(f"malformed efficiency data: {exc}") from None
+        if "eta_b" in data:
+            json_keys(data, ("eta_b", "eta_c", "eta_d"), "efficiency")
+            return cls(
+                eta_b=tuple(json_float(x, "eta_b entry") for x in data["eta_b"]),
+                eta_c=json_coupling(data.get("eta_c", 1.0)),
+                eta_d=json_float(data.get("eta_d", 1.0), "eta_d"),
+            )
+        if "eta" in data:
+            eta = json_keys(data, ("eta",), "efficiency")["eta"]
+            return cls.from_overall([json_float(x, "eta entry") for x in eta])
         raise ValueError("efficiency data must provide either 'eta_b' or 'eta'")
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wcpstats
@@ -14,6 +15,7 @@ from wcpstats.cli import main
 from wcpstats.coincidence import read_summary_json
 from wcpstats.config import RunConfig
 from wcpstats.fileio import read_json
+from wcpstats.leakage import pairwise_leakage
 
 
 def run(argv):
@@ -181,9 +183,11 @@ def test_estimate_with_efficiency_file(tmp_path):
     assert read_json(est_path)["mu_rigorous"] == pytest.approx(0.4, rel=0.05)
 
 
-def test_leakage_pair_value(capsys):
-    assert run(["leakage", "--pair-r", "0.9904"]) == 0
+def test_leakage_pair_value(tmp_path, capsys):
+    out_path = tmp_path / "leakage.json"
+    assert run(["leakage", "--pair-r", "0.9904", "--out", out_path]) == 0
     assert "0.0027" in capsys.readouterr().out
+    assert read_json(out_path)["pair_r"] == [{"R": 0.9904, "I_prime": pairwise_leakage(0.9904)}]
 
 
 def test_leakage_sources_report(tmp_path, capsys):
@@ -245,6 +249,20 @@ def test_fluct_routes_fit_the_same_quantity(tmp_path):
     for key in ("units", "pulses_per_cycle", "detector"):
         assert simulated["meta"][key] == files["meta"][key]
     assert files["meta"]["input"] == "series files"
+
+
+def test_fluct_mu_list_series_draw_independent_streams(tmp_path):
+    # Each mu of one run gets its own sub-seed, so its series shares no random stream with the others.
+    series_dir = tmp_path / "series"
+    assert run(
+        ["fluct", "--mu-list", "0.2,0.4", "--cycles", "50", "--pulses-per-cycle", "20000",
+         "--seed", "1", "--series-dir", series_dir]
+    ) == 0
+    low, high = (
+        [int(row["counts"]) for row in csv.DictReader((series_dir / f"series_mu_{mu}.csv").read_text().splitlines())]
+        for mu in ("0.2", "0.4")
+    )
+    assert abs(np.corrcoef(low, high)[0, 1]) < 0.5
 
 
 def test_sweep_csv_columns(tmp_path):
@@ -534,6 +552,15 @@ SUMMARY_ARGV = ["bounds", "--summary", "{path}", "--out", "{out}"]
         ({**SUMMARY, "subsets": {**SUMMARY["subsets"], "1,,2": 0.0}}, SUMMARY_ARGV, "coincidence summary"),
         ({**SUMMARY, "subsets": {**SUMMARY["subsets"], "1,2": 0.9, "2,1": 0.0}}, SUMMARY_ARGV,
          "coincidence summary"),
+        ({k: v for k, v in SUMMARY.items() if k != "orders"}, SUMMARY_ARGV, "coincidence summary"),
+        ({**SUMMARY, "subsets": {k: v for k, v in SUMMARY["subsets"].items() if k != "1,2"}}, SUMMARY_ARGV,
+         "coincidence summary"),
+        ({"total_pulses": 1}, ["coincidence", "--histogram", "{path}", "--out", "{out}"], "pattern histogram"),
+        ({"counts": [1] + [0] * 15}, ["coincidence", "--histogram", "{path}", "--out", "{out}"],
+         "pattern histogram"),
+        ({"sources": {"S1": {"fluct_a": 0.1}}}, SIMULATE_CONFIG_ARGV, "run config"),
+        ({"geometry": {"transmitted": [0.5, 0.4], "reflected": [0.5, 0.4]}}, SIMULATE_CONFIG_ARGV, "run config"),
+        ([0.1, 0.1, 0.1, 0.1], EFF_ARGV, "efficiency data"),
     ],
     ids=["list-histogram", "bool-histogram-total", "list-config", "scalar-source", "list-geometry", "fractional-pulses",
          "fractional-seed", "bool-pulses", "unknown-key", "unknown-source-key",
@@ -541,7 +568,9 @@ SUMMARY_ARGV = ["bounds", "--summary", "{path}", "--out", "{out}"]
          "bool-rep-rate", "string-eta_d", "bool-eta_c-entry", "string-mu", "bool-dark-rate",
          "bool-splitter-ratio", "eta-with-eta_d", "eta_b-with-eta", "bool-eta-entry",
          "estimate-bool-eta_b-entry", "estimate-string-eta_d", "string-subset-prob", "bool-order-prob",
-         "letter-subset-key", "empty-field-subset-key", "subset-spelled-twice"],
+         "letter-subset-key", "empty-field-subset-key", "subset-spelled-twice", "summary-without-orders",
+         "summary-without-subset", "histogram-without-counts", "histogram-without-total", "source-without-mu",
+         "geometry-without-root", "list-efficiency"],
 )
 def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message):
     path = tmp_path / "input.json"
@@ -552,6 +581,13 @@ def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message
     assert run([a.format(path=path, summary=summary, out=out) for a in argv]) == 1
     assert capsys.readouterr().err.startswith(f"error: malformed {message}: ")
     assert not out.exists()
+
+
+def test_missing_key_is_named_in_the_whole_error(tmp_path, capsys):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps({k: v for k, v in SUMMARY.items() if k != "orders"}))
+    assert run(SUMMARY_ARGV[:2] + [path, "--out", tmp_path / "out.json"]) == 1
+    assert capsys.readouterr().err == "error: malformed coincidence summary: missing key 'orders'\n"
 
 
 def test_json_syntax_error_names_the_file(tmp_path, capsys):

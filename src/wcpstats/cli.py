@@ -140,6 +140,7 @@ def cmd_estimate(args) -> int:
     if args.method in ("rigorous", "both"):
         rigorous = estimate_mu_rigorous(summary, eta)
         result["mu_rigorous"] = rigorous.mu_hat
+        result["mu_rigorous_se"] = rigorous.std_error
         result["residual"] = rigorous.residual
         check = poissonity_test(summary, rigorous.mu_hat, eta)
         result["poissonity"] = {
@@ -217,6 +218,12 @@ def cmd_leakage(args) -> int:
     return 0
 
 
+# The flags of ``fluct`` that only the simulated route reads, with their defaults.
+_FLUCT_SIMULATION_FLAGS = {
+    "mu_list": None, "cycles": 50, "seed": 1, "label": "S1", "fluct_a": 0.05, "fluct_b": 0.0, "series_dir": None,
+}
+
+
 def cmd_fluct(args) -> int:
     from .estimation import intensity_from_counts, point_seed
     from .simulator import SimConfig, read_count_series_csv, simulate_count_series, write_count_series_csv
@@ -224,6 +231,10 @@ def cmd_fluct(args) -> int:
     eff = RunConfig.load(args.config).efficiency_set()
     series_per_mu: dict[float, object] = {}
     if args.series:
+        ignored = [name for name in _FLUCT_SIMULATION_FLAGS if getattr(args, name) is not None]
+        if ignored:
+            flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
+            raise ValueError(f"--series fits the given files; {flags} only apply to a simulated run")
         for spec in args.series:
             try:
                 mu_text, path = spec.split("=", 1)
@@ -237,6 +248,9 @@ def cmd_fluct(args) -> int:
     else:
         if not args.mu_list:
             raise ValueError("pass either --series MU=PATH or --mu-list with simulation options")
+        for name, default in _FLUCT_SIMULATION_FLAGS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         mus = [float(x) for x in args.mu_list.split(",")]
         repeats = [mu for k, mu in enumerate(mus) if mu in mus[:k]]
         if repeats:
@@ -260,6 +274,12 @@ def cmd_fluct(args) -> int:
         f"fluct: sigma(mu) = {fit.slope:.6g} * mu + {fit.intercept:.6g} "
         f"over {len(fit.points)} points"
     )
+    if fit.slope < 0:
+        print(
+            f"warning: fitted slope {fit.slope:.6g} is negative: counting noise dominates these series, "
+            "and the fit cannot be passed back as --fluct-a",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -348,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--series", action="append", help="MU=PATH count-series CSV (repeatable)")
     p.add_argument("--mu-list", help="comma-separated mu grid to simulate")
-    p.add_argument("--cycles", type=int, default=50)
+    p.add_argument("--cycles", type=int, help="default 50")
     p.add_argument("--pulses-per-cycle", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, help="default 1")
     p.add_argument("--detector", type=int, choices=DETECTORS, default=1)
-    p.add_argument("--label", default="S1")
-    p.add_argument("--fluct-a", type=float, default=0.05)
-    p.add_argument("--fluct-b", type=float, default=0.0)
+    p.add_argument("--label", help="default S1")
+    p.add_argument("--fluct-a", type=float, help="default 0.05")
+    p.add_argument("--fluct-b", type=float, help="default 0")
     p.add_argument("--series-dir", help="also write the simulated series CSVs here")
     p.add_argument("--out")
     p.set_defaults(func=cmd_fluct)

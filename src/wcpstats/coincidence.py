@@ -315,19 +315,17 @@ def pattern_probabilities(mu, eta: Sequence[float], dark_rate: float = 0.0):
     return np.where(bits.astype(bool), clicks, 1.0 - clicks).prod(axis=-1)
 
 
-def poisson_coincidence_model(mu, eta: Sequence[float]):
-    """Expected order-averaged coincidences c_1..c_4 for a Poisson source.
+def poisson_coincidence_model(mu: float, eta: Sequence[float]) -> tuple[float, float, float, float]:
+    """Expected order-averaged coincidences (c_1, c_2, c_3, c_4) for a Poisson source.
 
     c_r = e_r(q) / C(4, r), the subset-product mean of the click marginals
-    q.  A float ``mu`` gives a tuple (c_1, c_2, c_3, c_4); an array of mu
-    gives an array with one such row per value.
+    q_i = 1 - exp(-mu * eta_i).  ``eta`` is taken as already validated
+    (see :func:`optics.validate_efficiencies`); the estimator calls this
+    once per point of its scan.
     """
-    import numpy as np
-
-    q = click_probabilities(mu, eta)
-    if q.ndim == 1:
-        return subset_product_means(q.tolist())
-    return np.stack(subset_product_means(q), axis=-1)
+    a, b, c, d = eta
+    x, expm1 = -mu, math.expm1
+    return subset_product_means((-expm1(x * a), -expm1(x * b), -expm1(x * c), -expm1(x * d)))
 
 
 def model_subset_probability(mu: float, eta: Sequence[float], subset: Iterable[int]) -> float:

@@ -10,23 +10,24 @@ least squares over all coincidence orders.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .coincidence import ORDERS, CoincidenceSummary, observed_coincidences, poisson_coincidence_model
 from .fileio import write_text_atomic
 from .leakage import leakage_difference
-from .optics import EfficiencySet, validate_efficiencies
+from .optics import N_DETECTORS, SUBSETS_PER_ORDER, EfficiencySet, subset_product_means, validate_efficiencies
 from .stats import ConvergenceError, InsufficientDataError, chi_square_quantile
 
-# Points of the coarse geometric scan and of each zoom; a zoom narrows
-# the bracket by a factor (_ZOOM_POINTS - 1) / 2.
+# The geometric scan that brackets the minimiser: its first point and its size.
+_SCAN_MIN = 1e-6
 _SCAN_POINTS = 256
-_ZOOM_POINTS = 129
+# Imaginary step that carries the model's slope: its square vanishes against
+# every real product, and its products with the slopes stay normal floats.
+_SLOPE_STEP = 1e-100
 
 METHOD_SINGLE = "single"
 METHOD_RIGOROUS = "rigorous"
@@ -40,12 +41,15 @@ class MuEstimate:
     method: str
     residual: float = 0.0
     fit_orders: tuple[int, ...] = ()
+    std_error: float | None = None
 
     def __post_init__(self) -> None:
         if self.mu_hat < 0.0 or not math.isfinite(self.mu_hat):
             raise ValueError(f"mu_hat must be finite and >= 0, got {self.mu_hat!r}")
         if self.residual < 0.0:
             raise ValueError(f"residual must be >= 0, got {self.residual!r}")
+        if self.std_error is not None and not self.std_error >= 0.0:
+            raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
         if self.method not in (METHOD_SINGLE, METHOD_RIGOROUS):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -71,6 +75,8 @@ def estimate_mu_single(
 
 def intensity_from_counts(counts, n_pulses: int, eta_overall: float):
     """Per-cycle intensity estimates from raw click counts (single-detector rule)."""
+    import numpy as np
+
     if n_pulses <= 0:
         raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
     if not 0.0 < eta_overall <= 1.0:
@@ -90,58 +96,126 @@ def estimate_mu_rigorous(
     max_iter: int = 200,
     orders: tuple[int, ...] = ORDERS,
 ) -> MuEstimate:
-    """Invert the four-detector coincidence model for mu.
+    """Invert the four-detector coincidence model for mu: scan + Gauss-Newton.
 
-    Minimizes sum_r w_r (c_obs,r - model_r(mu))^2 over mu in (0, mu_max]
+    Minimizes sum_r w_r (c_obs,r - m_r(mu))^2 over mu in [1e-6, mu_max]
     with inverse-variance weights w_r = 1 / max(var_r, 1/N^2), var_r being
-    the binomial variance estimate of the observed probability.  A coarse
-    geometric scan brackets the minimum; each zoom then rescans the bracket
-    on a linear grid and keeps the two cells around the smallest value,
-    until the bracket is narrower than ``tol``.  ``max_iter`` caps the
-    number of zooms.
+    the binomial variance estimate of the observed probability; orders not
+    in ``orders`` get weight 0.  A 256-point geometric scan brackets the
+    minimum between the neighbours of its smallest point.  From that point,
+    Gauss-Newton steps delta = sum_r w_r (c_r - m_r) m_r' / sum_r w_r m_r'^2
+    stay clamped to the bracket and are halved until they lower the
+    objective.  The search stops at the first step of at most ``tol``;
+    ``max_iter`` caps the number of steps, past which
+    :class:`ConvergenceError` carries the last iterate.
+
+    ``std_error`` is the sandwich standard error of mu_hat: the per-pulse
+    covariance of the order scores, taken from the observed orders, carried
+    through the weighted fit's first-order condition.
     """
     eta = validate_efficiencies(eta)
     if not orders or any(r not in ORDERS for r in orders):
         raise ValueError(f"orders must be a nonempty subset of {ORDERS}, got {orders!r}")
-    c_obs = np.array([summary.order_probability(r) for r in orders])
-    if not np.any(c_obs):
+    if not (math.isfinite(mu_max) and mu_max > _SCAN_MIN):
+        raise ValueError(f"mu_max must be finite and above {_SCAN_MIN}, got {mu_max!r}")
+    c_obs = summary.order_probs
+    if not any(c_obs[r - 1] for r in orders):
         raise InsufficientDataError(
             "insufficient data: no clicks in any coincidence order"
         )
+    if sum(e > 0.0 for e in eta) < min(orders):
+        raise ValueError(f"no fitted order {orders!r} depends on mu at efficiencies {eta!r}")
     n = summary.total_pulses
-    weights = 1.0 / np.maximum(c_obs * (1.0 - c_obs) / n, 1.0 / (n * n))
-    columns = [r - 1 for r in orders]
-
-    def objective(mu):
-        """Weighted squared misfit, elementwise over an array of mu."""
-        model = np.asarray(poisson_coincidence_model(mu, eta))[..., columns]
-        return np.sum(weights * (c_obs - model) ** 2, axis=-1)
-
-    def bracket(grid):
-        """The two cells of ``grid`` around its smallest objective value."""
-        best = int(np.argmin(objective(grid)))
-        return float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)])
-
-    a, b = bracket(np.geomspace(1e-6, mu_max, _SCAN_POINTS))
-    zooms = 0
-    while b - a > tol and zooms < max_iter:
-        a, b = bracket(np.linspace(a, b, _ZOOM_POINTS))
-        zooms += 1
-
-    mu_hat = 0.5 * (a + b)
-    model = poisson_coincidence_model(mu_hat, eta)
-    residual = math.sqrt(
-        math.fsum((c - model[r - 1]) ** 2 for c, r in zip(c_obs, orders)) / len(orders)
+    weights = tuple(
+        1.0 / max(c * (1.0 - c) / n, 1.0 / (n * n)) if r in orders else 0.0 for r, c in zip(ORDERS, c_obs)
     )
+    w1, w2, w3, w4 = weights
+    c1, c2, c3, c4 = c_obs
+
+    def objective(model):
+        m1, m2, m3, m4 = model
+        d1, d2, d3, d4 = c1 - m1, c2 - m2, c3 - m3, c4 - m4
+        return w1 * d1 * d1 + w2 * d2 * d2 + w3 * d3 * d3 + w4 * d4 * d4
+
+    grid = _scan_grid(mu_max)
+    values = [objective(poisson_coincidence_model(mu, eta)) for mu in grid]
+    best = values.index(min(values))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, _SCAN_POINTS - 1)]
+
+    mu, value = grid[best], values[best]
+    model, slope = _model_and_slope(mu, eta)
+    converged = False
+    for _ in range(max_iter):
+        (m1, m2, m3, m4), (s1, s2, s3, s4) = model, slope
+        gain = w1 * (c1 - m1) * s1 + w2 * (c2 - m2) * s2 + w3 * (c3 - m3) * s3 + w4 * (c4 - m4) * s4
+        curvature = w1 * s1 * s1 + w2 * s2 * s2 + w3 * s3 * s3 + w4 * s4 * s4
+        step = min(max(mu + gain / curvature, lo), hi) - mu
+        # A step within tol is taken as it stands: that close to the minimiser
+        # the objective changes by less than its rounding.
+        converged = abs(step) <= tol
+        while True:
+            trial, trial_slope = _model_and_slope(mu + step, eta)
+            trial_value = objective(trial)
+            if trial_value < value or abs(step) <= tol:
+                break
+            step *= 0.5
+        mu, value, model, slope = mu + step, trial_value, trial, trial_slope
+        if converged:
+            break
+
+    scores = [w * s for w, s in zip(weights, slope)]
     estimate = MuEstimate(
-        mu_hat=mu_hat, method=METHOD_RIGOROUS, residual=residual, fit_orders=tuple(orders)
+        mu_hat=mu,
+        method=METHOD_RIGOROUS,
+        residual=math.sqrt(math.fsum((c_obs[r - 1] - model[r - 1]) ** 2 for r in orders) / len(orders)),
+        fit_orders=tuple(orders),
+        std_error=math.sqrt(_score_variance(scores, c_obs) / n) / math.fsum(g * s for g, s in zip(scores, slope)),
     )
-    if b - a > tol:
+    if not converged:
         raise ConvergenceError(
-            f"search did not reach |d mu| < {tol} within {max_iter} zooms",
+            f"Gauss-Newton did not reach |d mu| <= {tol} within {max_iter} steps",
             best=estimate,
         )
     return estimate
+
+
+@functools.lru_cache(maxsize=8)
+def _scan_grid(mu_max: float) -> tuple[float, ...]:
+    """The scan's geometric grid from _SCAN_MIN to ``mu_max``."""
+    ratio = mu_max / _SCAN_MIN
+    return tuple(_SCAN_MIN * ratio ** (k / (_SCAN_POINTS - 1)) for k in range(_SCAN_POINTS))
+
+
+def _model_and_slope(mu: float, eta: Sequence[float]) -> tuple[list[float], list[float]]:
+    """The model orders m_r(mu), r = 1..4, and their slopes dm_r/dmu.
+
+    Each click marginal q_i = 1 - exp(-mu eta_i) carries _SLOPE_STEP times its
+    slope eta_i (1 - q_i) as an imaginary part through the one subset-product
+    mean, which is multilinear in the q_i and adds only positive terms.
+    """
+    marginals = []
+    for e in eta:
+        q = -math.expm1(-mu * e)
+        marginals.append(complex(q, _SLOPE_STEP * e * (1.0 - q)))
+    means = subset_product_means(marginals)
+    return [m.real for m in means], [m.imag / _SLOPE_STEP for m in means]
+
+
+def _score_variance(g: Sequence[float], c: Sequence[float]) -> float:
+    """Per-pulse variance of sum_r g_r C(k, r)/C(4, r), k the number of detectors that click.
+
+    c_r is the mean of the score C(k, r)/C(4, r).  The law of k follows from
+    the binomial moments B_r = C(4, r) c_r = E[C(k, r)], with B_0 = 1, as
+    P(k) = sum_{r >= k} (-1)^(r - k) C(r, k) B_r.
+    """
+    moments = [1.0] + [count * x for count, x in zip(SUBSETS_PER_ORDER, c)]
+    mean = math.fsum(gr * cr for gr, cr in zip(g, c))
+    terms = []
+    for k in range(N_DETECTORS + 1):
+        p_k = math.fsum((-1) ** (r - k) * math.comb(r, k) * moments[r] for r in range(k, N_DETECTORS + 1))
+        score = math.fsum(gr * math.comb(k, r) / count for r, gr, count in zip(ORDERS, g, SUBSETS_PER_ORDER))
+        terms.append(p_k * (score - mean) ** 2)
+    return max(math.fsum(terms), 0.0)
 
 
 @dataclass(frozen=True)
@@ -168,7 +242,9 @@ def poissonity_test(
     one degree of freedom is charged for the fitted mu.  Passes when the
     statistic stays below the requested chi-square percentile.
     """
-    model = poisson_coincidence_model(mu_hat, eta)
+    if not (math.isfinite(mu_hat) and mu_hat >= 0.0):
+        raise ValueError(f"mean photon number must be finite and >= 0, got {mu_hat!r}")
+    model = poisson_coincidence_model(mu_hat, validate_efficiencies(eta))
     n = summary.total_pulses
     used = []
     terms = []
@@ -211,6 +287,8 @@ class SweepPoint:
 
 def point_seed(seed: int, index: int) -> int:
     """Deterministic per-point sub-seed; independent of worker partitioning."""
+    import numpy as np
+
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 

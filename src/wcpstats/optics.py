@@ -26,15 +26,14 @@ def subset_product_means(values):
     """(m_1..m_4), m_r = e_r(values) / C(4, r): the mean over size-r detector subsets of their product.
 
     The elementary symmetric e_r grow one value at a time as e_r += e_{r-1} * value,
-    adding only positive terms.  Works element-wise on numpy arrays of one shape.
+    adding only positive terms; the four steps are written out.  Works on any
+    values with + and *, such as floats or complex numbers.
     """
-    e = [values[0]]
-    for value in values[1:]:
-        e.append(e[-1] * value)
-        for r in range(len(e) - 2, 0, -1):
-            e[r] = e[r] + e[r - 1] * value
-        e[0] = e[0] + value
-    return tuple(x / count for x, count in zip(e, SUBSETS_PER_ORDER))
+    a, b, c, d = values
+    e1, e2 = a + b, a * b
+    e1, e2, e3 = e1 + c, e2 + e1 * c, e2 * c
+    n1, n2, n3, n4 = SUBSETS_PER_ORDER
+    return ((e1 + d) / n1, (e2 + e1 * d) / n2, (e3 + e2 * d) / n3, e3 * d / n4)
 
 
 @dataclass(frozen=True)

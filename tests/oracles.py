@@ -229,3 +229,41 @@ def exhaustive_shape_moments(eta) -> list[float]:
         products = [math.prod(eta[d - 1] for d in w) for w in combinations(DETECTORS, j)]
         out.append(math.fsum(products) / comb(4, j))
     return out
+
+
+def weighted_fit_argmin(order_probs, total_pulses: int, eta, lo: float, hi: float, orders=(1, 2, 3, 4)) -> float:
+    """The rigorous estimator's minimiser in [lo, hi], by bisection on its first-order condition.
+
+    The objective is sum_r w_r (c_r - m_r(mu))^2 with the estimator's
+    weights w_r = 1 / max(c_r (1 - c_r) / N, 1 / N^2).  Each m_r is the mean
+    over all size-r detector subsets of the product of their click
+    probabilities 1 - exp(-mu eta_i), and its slope is the same mean of the
+    product rule, both by enumeration.  The condition
+    sum_r w_r (c_r - m_r) m_r' = 0 must change sign from + at ``lo`` to - at
+    ``hi``.
+    """
+    eta = [float(x) for x in eta]
+    n = total_pulses
+    weights = {r: 1.0 / max(order_probs[r - 1] * (1.0 - order_probs[r - 1]) / n, 1.0 / (n * n)) for r in orders}
+
+    def first_order(mu: float) -> float:
+        q = [-math.expm1(-mu * e) for e in eta]
+        dq = [e * math.exp(-mu * e) for e in eta]
+        terms = []
+        for r in orders:
+            subsets = list(combinations(range(4), r))
+            m = math.fsum(math.prod(q[i] for i in w) for w in subsets) / len(subsets)
+            dm = math.fsum(dq[i] * math.prod(q[j] for j in w if j != i) for w in subsets for i in w) / len(subsets)
+            terms.append(weights[r] * (order_probs[r - 1] - m) * dm)
+        return math.fsum(terms)
+
+    if not first_order(lo) > 0.0 > first_order(hi):
+        raise ValueError(f"the first-order condition does not change sign over [{lo!r}, {hi!r}]")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if first_order(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid

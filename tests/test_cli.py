@@ -12,7 +12,7 @@ import pytest
 
 import wcpstats
 from wcpstats.cli import main
-from wcpstats.coincidence import read_summary_json
+from wcpstats.coincidence import model_summary, read_summary_json
 from wcpstats.config import RunConfig
 from wcpstats.fileio import read_json
 from wcpstats.leakage import pairwise_leakage
@@ -43,15 +43,24 @@ def test_cli_import_loads_no_scipy():
         ["bounds", "--summary", "{summary}", "--out", "{out}"],
         ["coincidence", "--histogram", "{histogram}", "--out", "{out}"],
         ["leakage", "--mu", "0.5", "--source", "A=0.05,0.0025", "--source", "B=0.0525,0.0025"],
+        ["estimate", "--summary", "{source_summary}", "--config", "{config}", "--out", "{out}"],
+        ["estimate", "--summary", "{source_summary}", "--eff", "{eff}", "--out", "{out}"],
     ],
-    ids=["import", "bounds", "coincidence-histogram", "leakage"],
+    ids=["import", "bounds", "coincidence-histogram", "leakage", "estimate-config", "estimate-eff"],
 )
 def test_commands_without_arrays_load_no_numpy(tmp_path, argv):
     # numpy is most of the start-up time of a CLI call that does no array work.
     summary, histogram = tmp_path / "summary.json", tmp_path / "histogram.json"
     summary.write_text(json.dumps(SUMMARY))
     histogram.write_text(json.dumps({"total_pulses": 10, "counts": [9, 1] + [0] * 14}))
-    argv = [a.format(summary=summary, histogram=histogram, out=tmp_path / "out.json") for a in argv]
+    config, eff = tmp_path / "config.json", tmp_path / "eff.json"
+    config.write_text("{}")
+    eta = RunConfig.from_dict({}).efficiency_set().eta
+    eff.write_text(json.dumps({"eta": list(eta)}))
+    source_summary = tmp_path / "source_summary.json"
+    source_summary.write_text(json.dumps(model_summary(0.5, eta, 10**6).to_dict()))
+    paths = {"summary": summary, "histogram": histogram, "config": config, "eff": eff, "source_summary": source_summary}
+    argv = [a.format(out=tmp_path / "out.json", **paths) for a in argv]
     code = "import sys; from wcpstats.cli import main;"
     code += f"assert main({argv!r}) == 0;" if argv else ""
     code += "sys.exit('numpy' in sys.modules)"
@@ -249,6 +258,29 @@ def test_fluct_routes_fit_the_same_quantity(tmp_path):
     for key in ("units", "pulses_per_cycle", "detector"):
         assert simulated["meta"][key] == files["meta"][key]
     assert files["meta"]["input"] == "series files"
+
+
+def test_fluct_series_with_simulation_flags_exits_one(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    series.write_text("cycle_index,counts\n0,5\n1,7\n")
+    argv = ["fluct", "--series", f"0.2={series}", "--series", f"0.4={series}",
+            "--mu-list", "0.5,0.9", "--cycles", "999", "--seed", "1", "--out", tmp_path / "fit.json"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --series fits the given files; --mu-list, --cycles, --seed only apply")
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_fluct_negative_slope_warns_on_stderr(tmp_path, capsys):
+    # Twenty short cycles per mu: counting noise swamps the fluctuation.
+    fit_path = tmp_path / "fit.json"
+    assert run(
+        ["fluct", "--mu-list", "0.2,0.4", "--cycles", "20", "--pulses-per-cycle", "10000", "--seed", "2",
+         "--out", fit_path]
+    ) == 0
+    assert read_json(fit_path)["slope"] < 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: fitted slope -") and "counting noise" in err and "--fluct-a" in err
 
 
 def test_fluct_mu_list_series_draw_independent_streams(tmp_path):

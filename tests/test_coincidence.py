@@ -271,14 +271,6 @@ def test_pattern_law_matches_routing_series_with_dark_counts(mu, dark_rate, tabl
     np.testing.assert_allclose(law, expected, rtol=1e-12, atol=0.0)
 
 
-def test_model_array_rows_match_scalar_calls():
-    mus = np.array([0.0, 1e-4, 0.01, 0.5, 2.0, 10.0])
-    rows = poisson_coincidence_model(mus, TABLE_ETA)
-    assert rows.shape == (mus.size, 4)
-    for mu, row in zip(mus, rows):
-        assert tuple(row) == poisson_coincidence_model(float(mu), TABLE_ETA)
-
-
 def test_model_summary_consistent_with_closed_form():
     for mu in (0.05, 0.5, 2.0):
         summary = model_summary(mu, TABLE_ETA, 10**9)

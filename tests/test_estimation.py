@@ -22,6 +22,8 @@ from wcpstats.estimation import (
 from wcpstats.leakage import leakage_difference
 from wcpstats.simulator import SimConfig, SourceModel, simulate_pulses
 
+from oracles import weighted_fit_argmin
+
 EFF = default_efficiency_set()
 ETA = EFF.eta
 
@@ -92,6 +94,39 @@ def test_rigorous_round_trip_at_smallest_mu():
     assert estimate_mu_rigorous(summary, ETA).mu_hat == pytest.approx(1e-4, rel=1e-6)
 
 
+ORACLE_CASES = [
+    (mu, n, noisy)
+    for mu in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 5.0)
+    for n in (20_000, 10**6, 10**9, 10**12)
+    for noisy in (False, True)
+    if not noisy or mu * n >= 100
+]
+
+
+@pytest.mark.parametrize("mu,n,noisy", ORACLE_CASES)
+def test_rigorous_lands_on_the_weighted_fit_minimiser(mu, n, noisy):
+    # Decoy intensities reach 1e-4; the minimiser must be found to rounding
+    # there as well, not only to the absolute tol.
+    if noisy:
+        cfg = SimConfig(n_pulses=n, seed=17, efficiency_set=EFF)
+        summary = observed_coincidences(simulate_pulses(SourceModel(label="S1", mu=mu), cfg))
+    else:
+        summary = model_summary(mu, ETA, n)
+    expected = weighted_fit_argmin(summary.order_probs, n, ETA, mu / 2, 2 * mu)
+    assert estimate_mu_rigorous(summary, ETA).mu_hat == pytest.approx(expected, rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("mu", [0.01, 0.5, 2.0])
+def test_rigorous_std_error_matches_the_spread_over_seeds(mu):
+    estimates, errors = [], []
+    for seed in range(200):
+        cfg = SimConfig(n_pulses=1_000_000, seed=seed, efficiency_set=EFF)
+        est = estimate_mu_rigorous(observed_coincidences(simulate_pulses(SourceModel(label="S1", mu=mu), cfg)), ETA)
+        estimates.append(est.mu_hat)
+        errors.append(est.std_error)
+    assert 0.85 <= np.std(estimates, ddof=1) / np.mean(errors) <= 1.15
+
+
 def test_rigorous_max_iter_one_raises_with_best_in_scan_bracket():
     mu = 0.5
     with pytest.raises(ConvergenceError) as exc:
@@ -102,6 +137,23 @@ def test_rigorous_max_iter_one_raises_with_best_in_scan_bracket():
     j = int(np.searchsorted(grid, mu))
     assert grid[j - 2] <= exc.value.best.mu_hat <= grid[j + 1]
     assert exc.value.best.method == "rigorous"
+
+
+@pytest.mark.parametrize("mu_max", [-1.0, 1e-7, math.inf, math.nan])
+def test_rigorous_rejects_a_scan_without_range(mu_max):
+    with pytest.raises(ValueError, match="mu_max"):
+        estimate_mu_rigorous(model_summary(0.5, ETA, 10**6), ETA, mu_max=mu_max)
+
+
+@pytest.mark.parametrize(
+    "eta, orders",
+    [((0.0,) * 4, (1, 2, 3, 4)), ((0.2, 0.0, 0.0, 0.0), (2,))],
+    ids=["no-detector", "pairs-of-one-detector"],
+)
+def test_rigorous_rejects_efficiencies_that_hide_mu(eta, orders):
+    # With one working detector only order 1 carries mu, so order 2 alone cannot be fitted.
+    with pytest.raises(ValueError, match="depends on mu"):
+        estimate_mu_rigorous(model_summary(0.5, ETA, 10**6), eta, orders=orders)
 
 
 def test_rigorous_requires_clicks():

@@ -9,8 +9,27 @@ from wcpstats.optics import (
     DetectionTree,
     EfficiencySet,
     branching_efficiencies,
+    subset_product_means,
     validate_efficiencies,
 )
+
+
+def _subset_product_means_loop(values):
+    """The recurrence e_r += e_{r-1} * value as a loop over the values, the written-out form's reference."""
+    e = [values[0]]
+    for value in values[1:]:
+        e.append(e[-1] * value)
+        for r in range(len(e) - 2, 0, -1):
+            e[r] = e[r] + e[r - 1] * value
+        e[0] = e[0] + value
+    return tuple(x / count for x, count in zip(e, (4.0, 6.0, 4.0, 1.0)))
+
+
+def test_subset_product_means_equal_the_loop_bit_for_bit():
+    # bounds.json and eta_bar keep their bytes only if every rounding step is the loop's.
+    rng = np.random.default_rng(1000)
+    for values in rng.uniform(0.0, 1.0, size=(1000, 4)) ** rng.choice([1, 3, 10], size=(1000, 1)):
+        assert subset_product_means(values.tolist()) == _subset_product_means_loop(values.tolist())
 
 
 def test_ideal_lossless_tree_splits_evenly():

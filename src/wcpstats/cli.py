@@ -32,11 +32,8 @@ from .fileio import read_json, write_json_atomic
 from .leakage import (
     SourceDistribution,
     fit_fluctuation,
-    info_leakage,
-    leakage_difference,
-    pairwise_leakage,
+    leakage_payload,
     pairwise_reports,
-    write_leakage_json,
 )
 from .optics import EfficiencySet
 from .stats import ConvergenceError, InsufficientDataError
@@ -71,6 +68,11 @@ def _source_from_args(args, config: RunConfig) -> SourceModel:
     return SourceModel(args.label, given(args.mu, source.mu), fluct, given(args.dark_rate, source.dark_rate))
 
 
+def _given_flags(args, names) -> str:
+    """The flags among ``names`` (argparse dests) that the command line set, spelled as typed."""
+    return ", ".join("--" + name.replace("_", "-") for name in names if getattr(args, name) is not None)
+
+
 def cmd_simulate(args) -> int:
     from .simulator import SimConfig, simulate_pulses, simulate_timestamps
 
@@ -103,6 +105,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_coincidence(args) -> int:
     if args.histogram:
+        flags = _given_flags(args, ("pulses", "offset_ps", "window_ps"))
+        if flags:
+            raise ValueError(f"--histogram is already binned per pulse; {flags} only apply to --timestamps")
         hist = read_histogram_json(args.histogram)
         discarded = 0
     else:
@@ -112,7 +117,7 @@ def cmd_coincidence(args) -> int:
             read_timestamps_csv(args.timestamps),
             rep_period_ps=RunConfig.load(args.config).rep_period_ps,
             n_pulses=args.pulses,
-            offset_ps=args.offset_ps,
+            offset_ps=args.offset_ps or 0,
             window_ps=args.window_ps,
         )
         hist = result.histogram
@@ -128,21 +133,25 @@ def cmd_estimate(args) -> int:
     from .estimation import estimate_mu_rigorous, estimate_mu_single, poissonity_test
 
     summary = read_summary_json(args.summary)
-    config = RunConfig.load(args.config)
-    eta = _efficiency_from_args(args, config).eta
-    result: dict = {"total_pulses": summary.total_pulses}
-    if args.method in ("single", "both"):
-        # Clicks per trigger, one trigger per unit time: the repetition rate cancels.
-        click_prob = summary.subset_probs[frozenset({args.detector})]
-        single = estimate_mu_single(click_prob, 1.0, eta[args.detector - 1])
-        result["mu_single"] = single.mu_hat
-        result["detector"] = args.detector
-    if args.method in ("rigorous", "both"):
-        rigorous = estimate_mu_rigorous(summary, eta)
-        result["mu_rigorous"] = rigorous.mu_hat
-        result["mu_rigorous_se"] = rigorous.std_error
-        result["residual"] = rigorous.residual
+    eta = _efficiency_from_args(args, RunConfig.load(args.config)).eta
+    # Clicks per trigger, one trigger per unit time: the repetition rate cancels.
+    click_prob = summary.subset_probs[frozenset({args.detector})]
+    single = estimate_mu_single(click_prob, 1.0, eta[args.detector - 1])
+    rigorous = estimate_mu_rigorous(summary, eta)
+    result: dict = {
+        "total_pulses": summary.total_pulses,
+        "detector": args.detector,
+        "mu_single": single.mu_hat,
+        "mu_rigorous": rigorous.mu_hat,
+        "mu_rigorous_se": rigorous.std_error,
+        "residual": rigorous.residual,
+    }
+    try:
         check = poissonity_test(summary, rigorous.mu_hat, eta)
+    except InsufficientDataError as exc:
+        # Too few counts for a verdict leaves the fit standing.
+        print(f"warning: no Poissonity verdict: {exc}", file=sys.stderr)
+    else:
         result["poissonity"] = {
             "statistic": check.statistic,
             "dof": check.dof,
@@ -151,12 +160,7 @@ def cmd_estimate(args) -> int:
         }
     if args.out:
         write_json_atomic(_out_path(args.out), result)
-    parts = []
-    if "mu_single" in result:
-        parts.append(f"mu_single={result['mu_single']:.6f}")
-    if "mu_rigorous" in result:
-        parts.append(f"mu_rigorous={result['mu_rigorous']:.6f}")
-    print("estimate: " + ", ".join(parts))
+    print(f"estimate: mu_single={single.mu_hat:.6f}, mu_rigorous={rigorous.mu_hat:.6f}")
     return 0
 
 
@@ -184,36 +188,32 @@ def _parse_source_spec(spec: str) -> tuple[str, float, float]:
 
 
 def cmd_leakage(args) -> int:
-    lines = [f"R={value:.4f} -> I'(A:E)={pairwise_leakage(value):.4f}" for value in args.pair_r or ()]
-    reports = []
-    if args.source:
-        distributions = {}
-        for spec in args.source:
-            label, mean, sigma = _parse_source_spec(spec)
-            if label in distributions:
-                raise ValueError(f"source {label} given twice")
-            distributions[label] = SourceDistribution(mean=mean, sigma=sigma)
-        reports = pairwise_reports(distributions)
-        for report in reports:
-            lines.append(
-                f"{report.pair}: R={report.correlation:.4f} I'(A:E)={report.info_leak:.4f}"
-            )
-    if args.mu is not None:
-        lines.append(f"mu={args.mu}: I(A:E)={info_leakage(args.mu):.6g}")
-    if args.mu_single is not None and args.mu_rigorous is not None:
-        delta = leakage_difference(args.mu_rigorous, args.mu_single)
-        lines.append(f"delta I(A:E)={delta:.6g}")
+    if (args.mu_single is None) != (args.mu_rigorous is None):
+        missing = "--mu-rigorous" if args.mu_rigorous is None else "--mu-single"
+        raise ValueError(f"delta I(A:E) needs both --mu-single and --mu-rigorous; {missing} is missing")
+    distributions = {}
+    for spec in args.source or ():
+        label, mean, sigma = _parse_source_spec(spec)
+        if label in distributions:
+            raise ValueError(f"source {label} given twice")
+        distributions[label] = SourceDistribution(mean=mean, sigma=sigma)
+    payload = leakage_payload(
+        pairwise_reports(distributions) if distributions else (),
+        pair_r=args.pair_r,
+        mu=args.mu,
+        mu_single=args.mu_single,
+        mu_rigorous=args.mu_rigorous,
+    )
+    lines = [f"R={entry['R']:.4f} -> I'(A:E)={entry['I_prime']:.4f}" for entry in payload.get("pair_r", ())]
+    lines += [f"{entry['pair']}: R={entry['R']:.4f} I'(A:E)={entry['I_prime']:.4f}" for entry in payload["pairs"]]
+    if "multi_photon" in payload:
+        lines.append(f"mu={args.mu}: I(A:E)={payload['multi_photon']['I_AE']:.6g}")
+    if "estimate_gap" in payload:
+        lines.append(f"delta I(A:E)={payload['estimate_gap']['delta_I']:.6g}")
     if not lines:
         raise ValueError("nothing to compute: pass --pair-r, --source, --mu or --mu-single/--mu-rigorous")
     if args.out:
-        write_leakage_json(
-            _out_path(args.out),
-            reports,
-            pair_r=args.pair_r,
-            mu=args.mu,
-            mu_single=args.mu_single,
-            mu_rigorous=args.mu_rigorous,
-        )
+        write_json_atomic(_out_path(args.out), payload)
     print("leakage: " + "; ".join(lines))
     return 0
 
@@ -231,9 +231,8 @@ def cmd_fluct(args) -> int:
     eff = RunConfig.load(args.config).efficiency_set()
     series_per_mu: dict[float, object] = {}
     if args.series:
-        ignored = [name for name in _FLUCT_SIMULATION_FLAGS if getattr(args, name) is not None]
-        if ignored:
-            flags = ", ".join("--" + name.replace("_", "-") for name in ignored)
+        flags = _given_flags(args, _FLUCT_SIMULATION_FLAGS)
+        if flags:
             raise ValueError(f"--series fits the given files; {flags} only apply to a simulated run")
         for spec in args.series:
             try:
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--timestamps", help="timestamp CSV")
     p.add_argument("--config", help="run configuration JSON; its rep_rate_hz sets the binning period")
     p.add_argument("--pulses", type=int, help="trigger periods covered by the timestamps")
-    p.add_argument("--offset-ps", type=int, default=0)
+    p.add_argument("--offset-ps", type=int, help="default 0")
     p.add_argument("--window-ps", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_coincidence)
@@ -343,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", required=True)
     p.add_argument("--eff", help="efficiency JSON (eta_b/eta_c/eta_d or eta)")
     p.add_argument("--config")
-    p.add_argument("--method", choices=("single", "rigorous", "both"), default="both")
     p.add_argument("--detector", type=int, choices=DETECTORS, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)

@@ -33,9 +33,10 @@ if TYPE_CHECKING:
 DETECTORS = tuple(range(1, N_DETECTORS + 1))
 N_PATTERNS = 1 << N_DETECTORS
 ORDERS = (1, 2, 3, 4)
-# A time-tagger stream is a record array of TIMESTAMP_DTYPE, with these fields,
-# one row per click, sorted by time.
-_TIMESTAMP_FIELDS = {"channel": "u1", "time_ps": "i8"}
+# A time-tagger stream is a numpy record array of this dtype, one row per
+# click, sorted by time.  A plain spec, so that importing this module loads no numpy.
+TIMESTAMP_DTYPE = [("channel", "u1"), ("time_ps", "i8")]
+_TIMESTAMP_HEADER = tuple(name for name, _ in TIMESTAMP_DTYPE)
 
 _CONSISTENCY_TOL = 1e-12
 
@@ -52,16 +53,6 @@ _SUBSETS: dict[frozenset[int], tuple[int, str]] = {
 _SUBSET_OF_KEY = {key: w for w, (_, key) in _SUBSETS.items()}
 # Each pair (V, W) of them with V a proper subset of W.
 _NESTED_PAIRS = tuple((v, w) for w in _SUBSETS for v in _SUBSETS if v < w)
-
-
-def __getattr__(name: str):
-    # TIMESTAMP_DTYPE is built on first use, so that importing this module loads no numpy.
-    if name != "TIMESTAMP_DTYPE":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import numpy as np
-
-    globals()[name] = np.dtype(list(_TIMESTAMP_FIELDS.items()))
-    return globals()[name]
 
 
 def subsets_of_order(r: int) -> tuple[frozenset[int], ...]:
@@ -354,15 +345,15 @@ def write_timestamps_csv(path: str | Path, records: np.ndarray) -> None:
     import numpy as np
 
     _check_stream(records["channel"], records["time_ps"])
-    write_int_csv(path, tuple(_TIMESTAMP_FIELDS), np.column_stack((records["channel"], records["time_ps"])))
+    write_int_csv(path, _TIMESTAMP_HEADER, np.column_stack((records["channel"], records["time_ps"])))
 
 
 def read_timestamps_csv(path: str | Path) -> np.ndarray:
     """A timestamp CSV as a record stream; a bad row's error names its line."""
     import numpy as np
 
-    table = read_int_csv(path, tuple(_TIMESTAMP_FIELDS), _check_stream)
-    return np.rec.fromarrays(table.T, dtype=list(_TIMESTAMP_FIELDS.items()))
+    table = read_int_csv(path, _TIMESTAMP_HEADER, _check_stream)
+    return np.rec.fromarrays(table.T, dtype=TIMESTAMP_DTYPE)
 
 
 def write_histogram_json(path: str | Path, hist: PatternHistogram, meta: dict | None = None) -> None:

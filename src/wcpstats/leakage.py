@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
-from .fileio import write_json_atomic
 from .stats import _check_mu, normal_cdf
 
 
@@ -230,16 +228,17 @@ def pairwise_reports(distributions: Mapping[str, SourceDistribution]) -> list[Le
     return reports
 
 
-def write_leakage_json(
-    path: str | Path,
+def leakage_payload(
     reports: Sequence[LeakageReport] = (),
     mu: float | None = None,
     mu_single: float | None = None,
     mu_rigorous: float | None = None,
-    meta: dict | None = None,
     pair_r: Sequence[float] | None = None,
-) -> None:
-    """Leakage report file: pairwise entries plus optional blocks, one ``pair_r`` entry per given R."""
+) -> dict:
+    """Leakage report: pairwise entries plus optional blocks, one ``pair_r`` entry per given R.
+
+    The ``estimate_gap`` block needs both ``mu_single`` and ``mu_rigorous``.
+    """
     payload: dict = {
         "pairs": [
             {"pair": r.pair, "R": r.correlation, "I_prime": r.info_leak} for r in reports
@@ -255,6 +254,4 @@ def write_leakage_json(
             "mu_II": mu_rigorous,
             "delta_I": leakage_difference(mu_rigorous, mu_single),
         }
-    if meta is not None:
-        payload["meta"] = meta
-    write_json_atomic(path, payload)
+    return payload

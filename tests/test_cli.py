@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 import wcpstats
-from wcpstats.cli import main
+from wcpstats.cli import build_parser, main
 from wcpstats.coincidence import model_summary, read_summary_json
 from wcpstats.config import RunConfig
+from wcpstats.estimation import estimate_mu_rigorous
 from wcpstats.fileio import read_json
 from wcpstats.leakage import pairwise_leakage
 
@@ -93,9 +95,7 @@ def test_simulate_then_analyze_pipeline(tmp_path, capsys):
     assert summary.total_pulses == 200000
 
     est_path = tmp_path / "estimate.json"
-    assert run(
-        ["estimate", "--summary", summary_path, "--method", "both", "--out", est_path]
-    ) == 0
+    assert run(["estimate", "--summary", summary_path, "--out", est_path]) == 0
     estimate = read_json(est_path)
     assert estimate["mu_rigorous"] == pytest.approx(0.5, rel=0.05)
     assert estimate["mu_single"] < estimate["mu_rigorous"]
@@ -147,6 +147,29 @@ def test_timestamps_bin_at_the_config_period(tmp_path, capsys, rate):
     assert binned_path.read_bytes() == direct_path.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--pulses", "7"],
+        ["--offset-ps", "0"],
+        ["--window-ps", "5"],
+        ["--pulses", "7", "--offset-ps", "123", "--window-ps", "5"],
+    ],
+    ids=["pulses", "offset", "window", "all"],
+)
+def test_histogram_with_binning_flags_exits_one(tmp_path, capsys, flags):
+    hist_path, out = tmp_path / "hist.json", tmp_path / "summary.json"
+    hist_path.write_text(json.dumps({"total_pulses": 10, "counts": [9, 1] + [0] * 14}))
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    argv = ["coincidence", "--histogram", hist_path, "--config", config, "--out", out]
+    assert run(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(flag in err for flag in flags if flag.startswith("--"))
+    assert not out.exists()
+    assert run(argv) == 0
+
+
 def test_timestamps_past_int64_exit_one_and_histograms_stay_allowed(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"rep_rate_hz": 1e-3}))
@@ -166,9 +189,27 @@ def test_estimate_vacuum_reports_insufficient_data(tmp_path, capsys):
     ) == 0
     summary_path = tmp_path / "summary.json"
     assert run(["coincidence", "--histogram", hist_path, "--out", summary_path]) == 0
-    code = run(["estimate", "--summary", summary_path, "--method", "both"])
+    code = run(["estimate", "--summary", summary_path])
     assert code == 1
     assert "insufficient data" in capsys.readouterr().err
+
+
+def test_estimate_keeps_the_fit_when_the_poissonity_check_lacks_counts(tmp_path, capsys):
+    # At mu = 0.02 over 2e5 pulses only c_1 expects 5 counts: no Poissonity verdict.
+    hist_path, summary_path, est_path = tmp_path / "hist.json", tmp_path / "summary.json", tmp_path / "est.json"
+    assert run(["simulate", "--mu", "0.02", "--pulses", "200000", "--seed", "4", "--out-histogram", hist_path]) == 0
+    assert run(["coincidence", "--histogram", hist_path, "--out", summary_path]) == 0
+    capsys.readouterr()
+    assert run(["estimate", "--summary", summary_path, "--out", est_path]) == 0
+    eta = RunConfig.from_dict({}).efficiency_set().eta
+    fit = estimate_mu_rigorous(read_summary_json(summary_path), eta)
+    estimate = read_json(est_path)
+    assert estimate["mu_rigorous"] == fit.mu_hat
+    assert estimate["mu_rigorous_se"] == fit.std_error
+    assert estimate["mu_single"] == pytest.approx(0.02, rel=0.1)
+    assert "poissonity" not in estimate
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1 and "Poissonity" in warnings[0]
 
 
 def test_estimate_with_efficiency_file(tmp_path):
@@ -186,8 +227,7 @@ def test_estimate_with_efficiency_file(tmp_path):
     }))
     est_path = tmp_path / "est.json"
     assert run(
-        ["estimate", "--summary", summary_path, "--eff", eff_path,
-         "--method", "rigorous", "--out", est_path]
+        ["estimate", "--summary", summary_path, "--eff", eff_path, "--out", est_path]
     ) == 0
     assert read_json(est_path)["mu_rigorous"] == pytest.approx(0.4, rel=0.05)
 
@@ -210,6 +250,17 @@ def test_leakage_sources_report(tmp_path, capsys):
     assert payload["pairs"][0]["pair"] == "S1&S2"
     assert payload["multi_photon"]["mu"] == 0.5
     assert payload["estimate_gap"]["delta_I"] > 0
+
+
+@pytest.mark.parametrize(
+    "flag, missing", [("--mu-single", "--mu-rigorous"), ("--mu-rigorous", "--mu-single")]
+)
+def test_leakage_half_an_estimate_pair_exits_one(tmp_path, capsys, flag, missing):
+    out = tmp_path / "leakage.json"
+    assert run(["leakage", "--mu", "0.5", flag, "0.48", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+    assert not out.exists()
 
 
 def test_leakage_without_inputs_fails(capsys):
@@ -386,9 +437,10 @@ def test_simulate_mu_for_a_label_outside_the_config(tmp_path):
 
 
 def test_unknown_flag_exits_with_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--no-such-flag"])
-    assert exc.value.code == 2
+    for argv in (["simulate", "--no-such-flag"], ["estimate", "--summary", "summary.json", "--method", "both"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -633,6 +685,18 @@ def test_config_accepts_integral_floats(tmp_path):
     config = RunConfig.from_dict({"pulses": 1e6, "seed": 2.0})
     assert (config.pulses, config.seed) == (1_000_000, 2)
     assert isinstance(config.pulses, int) and isinstance(config.seed, int)
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [block.split("```", 1)[0] for block in readme.split("```sh\n")[1:]]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("wcpstats ")]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    subcommands = {"simulate", "coincidence", "estimate", "bounds", "leakage", "fluct", "sweep"}
+    assert {argv[0] for argv in commands} == subcommands
 
 
 def test_readme_example_config_loads():

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import wcpstats
-from wcpstats.fileio import read_json
 from wcpstats.leakage import (
     FluctuationFit,
     SourceDistribution,
@@ -18,11 +17,11 @@ from wcpstats.leakage import (
     fit_fluctuation,
     info_leakage,
     leakage_difference,
+    leakage_payload,
     pairwise_leakage,
     pairwise_reports,
     report_for_pair,
     source_distribution_at,
-    write_leakage_json,
 )
 from wcpstats.stats import multi_photon_probability
 
@@ -259,15 +258,13 @@ def test_pairwise_reports_cover_all_pairs():
         assert report.info_leak >= 0.0
 
 
-def test_leakage_report_json(tmp_path):
+def test_leakage_report_json():
     distributions = {
         "S1": SourceDistribution(mean=60.0, sigma=5.0),
         "S2": SourceDistribution(mean=62.0, sigma=5.5),
     }
     reports = pairwise_reports(distributions)
-    path = tmp_path / "leakage.json"
-    write_leakage_json(path, reports, mu=0.5, mu_single=0.48, mu_rigorous=0.5)
-    payload = read_json(path)
+    payload = leakage_payload(reports, mu=0.5, mu_single=0.48, mu_rigorous=0.5)
     assert payload["pairs"][0]["pair"] == "S1&S2"
     assert payload["multi_photon"]["I_AE"] == pytest.approx(info_leakage(0.5), abs=1e-15)
     assert payload["estimate_gap"]["delta_I"] == pytest.approx(

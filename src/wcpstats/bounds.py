@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .coincidence import CoincidenceSummary
+from .coincidence import ORDERS, CoincidenceSummary
 from .fileio import write_json_atomic
 from .optics import N_DETECTORS, subset_product_means, validate_efficiencies
 
@@ -80,8 +80,7 @@ def normalized_coincidences(
     For uniform efficiencies the scale equals 1 / (r! * eta_bar**r).
     """
     return tuple(
-        summary.order_probability(r) / (math.factorial(r) * factors.s[r - 1])
-        for r in (1, 2, 3, 4)
+        c / (math.factorial(r) * s) for r, c, s in zip(ORDERS, summary.order_probs, factors.s)
     )
 
 

@@ -124,7 +124,7 @@ def cmd_coincidence(args) -> int:
         discarded = result.discarded
     summary = observed_coincidences(hist)
     write_summary_json(_out_path(args.out), summary)
-    orders = ", ".join(f"c{r}={summary.order_probability(r):.3e}" for r in (1, 2, 3, 4))
+    orders = ", ".join(f"c{r}={c:.3e}" for r, c in enumerate(summary.order_probs, start=1))
     print(f"coincidence: {hist.total_pulses} pulses ({discarded} records discarded); {orders}")
     return 0
 
@@ -220,7 +220,7 @@ def cmd_leakage(args) -> int:
 
 # The flags of ``fluct`` that only the simulated route reads, with their defaults.
 _FLUCT_SIMULATION_FLAGS = {
-    "mu_list": None, "cycles": 50, "seed": 1, "label": "S1", "fluct_a": 0.05, "fluct_b": 0.0, "series_dir": None,
+    "mu_list": None, "cycles": 50, "seed": 1, "fluct_a": 0.05, "fluct_b": 0.0, "series_dir": None,
 }
 
 
@@ -255,7 +255,7 @@ def cmd_fluct(args) -> int:
         if repeats:
             raise ValueError(f"mu={repeats[0]:g} given twice in --mu-list")
         for k, mu in enumerate(mus):
-            source = SourceModel(args.label, mu, FluctuationModel(slope=args.fluct_a, intercept=args.fluct_b))
+            source = SourceModel("S1", mu, FluctuationModel(slope=args.fluct_a, intercept=args.fluct_b))
             cfg = SimConfig(n_pulses=args.pulses_per_cycle, seed=point_seed(args.seed, k), efficiency_set=eff)
             counts = simulate_count_series(source, args.cycles, args.pulses_per_cycle, cfg, detector=args.detector)
             if args.series_dir:
@@ -370,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pulses-per-cycle", type=int, default=100_000)
     p.add_argument("--seed", type=int, help="default 1")
     p.add_argument("--detector", type=int, choices=DETECTORS, default=1)
-    p.add_argument("--label", help="default S1")
     p.add_argument("--fluct-a", type=float, help="default 0.05")
     p.add_argument("--fluct-b", type=float, help="default 0")
     p.add_argument("--series-dir", help="also write the simulated series CSVs here")

@@ -93,7 +93,11 @@ class PatternHistogram:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PatternHistogram":
-        return cls(counts=data["counts"], total_pulses=json_int(data["total_pulses"], "total_pulses"))
+        counts = data["counts"]
+        # Counts that are not a list reach __post_init__, which rejects them.
+        if isinstance(counts, list):
+            counts = [json_int(c, "pattern counts entry") for c in counts]
+        return cls(counts=counts, total_pulses=json_int(data["total_pulses"], "total_pulses"))
 
 
 @dataclass(frozen=True)
@@ -142,11 +146,6 @@ class CoincidenceSummary:
         for r in (2, 3, 4):
             if self.order_probs[r - 1] > self.order_probs[r - 2] + _CONSISTENCY_TOL:
                 raise ValueError("order-averaged probabilities must be non-increasing in r")
-
-    def order_probability(self, r: int) -> float:
-        if r not in ORDERS:
-            raise ValueError(f"coincidence order must be in 1..4, got {r}")
-        return self.order_probs[r - 1]
 
     def to_dict(self) -> dict:
         return {
@@ -367,11 +366,8 @@ def read_histogram_json(path: str | Path) -> PatternHistogram:
     return read_json(path, PatternHistogram.from_dict, "pattern histogram")
 
 
-def write_summary_json(path: str | Path, summary: CoincidenceSummary, meta: dict | None = None) -> None:
-    payload = summary.to_dict()
-    if meta is not None:
-        payload["meta"] = meta
-    write_json_atomic(path, payload)
+def write_summary_json(path: str | Path, summary: CoincidenceSummary) -> None:
+    write_json_atomic(path, summary.to_dict())
 
 
 def read_summary_json(path: str | Path) -> CoincidenceSummary:

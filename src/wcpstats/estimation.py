@@ -10,7 +10,6 @@ least squares over all coincidence orders.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,25 +21,28 @@ from .leakage import leakage_difference
 from .optics import N_DETECTORS, SUBSETS_PER_ORDER, EfficiencySet, subset_product_means, validate_efficiencies
 from .stats import ConvergenceError, InsufficientDataError, chi_square_quantile
 
-# The geometric scan that brackets the minimiser: its first point and its size.
+# The estimator's range of mu, spanned by a geometric scan of _SCAN_POINTS
+# points that brackets the minimiser.
 _SCAN_MIN = 1e-6
+_SCAN_MAX = 10.0
 _SCAN_POINTS = 256
+_SCAN_GRID = tuple(_SCAN_MIN * (_SCAN_MAX / _SCAN_MIN) ** (k / (_SCAN_POINTS - 1)) for k in range(_SCAN_POINTS))
+# Gauss-Newton stops at the first step of at most _TOL, and gives up after _MAX_ITER steps.
+_TOL = 1e-10
+_MAX_ITER = 200
 # Imaginary step that carries the model's slope: its square vanishes against
 # every real product, and its products with the slopes stay normal floats.
 _SLOPE_STEP = 1e-100
-
-METHOD_SINGLE = "single"
-METHOD_RIGOROUS = "rigorous"
+# The chi-square percentile below which the Poissonity check passes.
+_POISSONITY_PERCENTILE = 0.99
 
 
 @dataclass(frozen=True)
 class MuEstimate:
-    """An estimated mean photon number and how it was obtained."""
+    """An estimated mean photon number, with the fit's misfit and standard error where it has them."""
 
     mu_hat: float
-    method: str
     residual: float = 0.0
-    fit_orders: tuple[int, ...] = ()
     std_error: float | None = None
 
     def __post_init__(self) -> None:
@@ -50,8 +52,6 @@ class MuEstimate:
             raise ValueError(f"residual must be >= 0, got {self.residual!r}")
         if self.std_error is not None and not self.std_error >= 0.0:
             raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
-        if self.method not in (METHOD_SINGLE, METHOD_RIGOROUS):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 def estimate_mu_single(
@@ -70,7 +70,7 @@ def estimate_mu_single(
         raise ValueError(f"rep_rate must be > 0, got {rep_rate!r}")
     if not (math.isfinite(eta_overall) and 0.0 < eta_overall <= 1.0):
         raise ValueError(f"eta_overall must be in (0, 1], got {eta_overall!r}")
-    return MuEstimate(mu_hat=counts_per_second / (rep_rate * eta_overall), method=METHOD_SINGLE)
+    return MuEstimate(mu_hat=counts_per_second / (rep_rate * eta_overall))
 
 
 def intensity_from_counts(counts, n_pulses: int, eta_overall: float):
@@ -88,47 +88,37 @@ def intensity_from_counts(counts, n_pulses: int, eta_overall: float):
     return counts / (n_pulses * eta_overall)
 
 
-def estimate_mu_rigorous(
-    summary: CoincidenceSummary,
-    eta: Sequence[float],
-    mu_max: float = 10.0,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    orders: tuple[int, ...] = ORDERS,
-) -> MuEstimate:
+def estimate_mu_rigorous(summary: CoincidenceSummary, eta: Sequence[float]) -> MuEstimate:
     """Invert the four-detector coincidence model for mu: scan + Gauss-Newton.
 
-    Minimizes sum_r w_r (c_obs,r - m_r(mu))^2 over mu in [1e-6, mu_max]
-    with inverse-variance weights w_r = 1 / max(var_r, 1/N^2), var_r being
-    the binomial variance estimate of the observed probability; orders not
-    in ``orders`` get weight 0.  A 256-point geometric scan brackets the
-    minimum between the neighbours of its smallest point.  From that point,
-    Gauss-Newton steps delta = sum_r w_r (c_r - m_r) m_r' / sum_r w_r m_r'^2
-    stay clamped to the bracket and are halved until they lower the
-    objective.  The search stops at the first step of at most ``tol``;
-    ``max_iter`` caps the number of steps, past which
-    :class:`ConvergenceError` carries the last iterate.
+    Minimizes sum_r w_r (c_obs,r - m_r(mu))^2 over the four orders and over
+    mu in [1e-6, 10], with inverse-variance weights w_r = 1 / max(var_r, 1/N^2),
+    var_r being the binomial variance estimate of the observed probability.
+    A 256-point geometric scan brackets the minimum between the neighbours
+    of its smallest point.  From that point, Gauss-Newton steps
+    delta = sum_r w_r (c_r - m_r) m_r' / sum_r w_r m_r'^2 stay clamped to the
+    bracket and are halved until they lower the objective.  The search stops
+    at the first step of at most 1e-10; after 200 steps
+    :class:`ConvergenceError` carries the last iterate instead.  A minimiser
+    that the range cuts off, one at either end of the scan with the slope
+    still pointing out of it, raises ValueError rather than being returned
+    as the range's end.
 
-    ``std_error`` is the sandwich standard error of mu_hat: the per-pulse
-    covariance of the order scores, taken from the observed orders, carried
-    through the weighted fit's first-order condition.
+    ``residual`` is the RMS misfit over the four orders.  ``std_error`` is
+    the sandwich standard error of mu_hat: the per-pulse covariance of the
+    order scores, taken from the observed orders, carried through the
+    weighted fit's first-order condition.
     """
     eta = validate_efficiencies(eta)
-    if not orders or any(r not in ORDERS for r in orders):
-        raise ValueError(f"orders must be a nonempty subset of {ORDERS}, got {orders!r}")
-    if not (math.isfinite(mu_max) and mu_max > _SCAN_MIN):
-        raise ValueError(f"mu_max must be finite and above {_SCAN_MIN}, got {mu_max!r}")
     c_obs = summary.order_probs
-    if not any(c_obs[r - 1] for r in orders):
+    if not any(c_obs):
         raise InsufficientDataError(
             "insufficient data: no clicks in any coincidence order"
         )
-    if sum(e > 0.0 for e in eta) < min(orders):
-        raise ValueError(f"no fitted order {orders!r} depends on mu at efficiencies {eta!r}")
+    if not any(e > 0.0 for e in eta):
+        raise ValueError(f"no coincidence order depends on mu at efficiencies {eta!r}")
     n = summary.total_pulses
-    weights = tuple(
-        1.0 / max(c * (1.0 - c) / n, 1.0 / (n * n)) if r in orders else 0.0 for r, c in zip(ORDERS, c_obs)
-    )
+    weights = tuple(1.0 / max(c * (1.0 - c) / n, 1.0 / (n * n)) for c in c_obs)
     w1, w2, w3, w4 = weights
     c1, c2, c3, c4 = c_obs
 
@@ -137,26 +127,25 @@ def estimate_mu_rigorous(
         d1, d2, d3, d4 = c1 - m1, c2 - m2, c3 - m3, c4 - m4
         return w1 * d1 * d1 + w2 * d2 * d2 + w3 * d3 * d3 + w4 * d4 * d4
 
-    grid = _scan_grid(mu_max)
-    values = [objective(poisson_coincidence_model(mu, eta)) for mu in grid]
+    values = [objective(poisson_coincidence_model(mu, eta)) for mu in _SCAN_GRID]
     best = values.index(min(values))
-    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, _SCAN_POINTS - 1)]
+    lo, hi = _SCAN_GRID[max(best - 1, 0)], _SCAN_GRID[min(best + 1, _SCAN_POINTS - 1)]
 
-    mu, value = grid[best], values[best]
+    mu, value = _SCAN_GRID[best], values[best]
     model, slope = _model_and_slope(mu, eta)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         (m1, m2, m3, m4), (s1, s2, s3, s4) = model, slope
         gain = w1 * (c1 - m1) * s1 + w2 * (c2 - m2) * s2 + w3 * (c3 - m3) * s3 + w4 * (c4 - m4) * s4
         curvature = w1 * s1 * s1 + w2 * s2 * s2 + w3 * s3 * s3 + w4 * s4 * s4
         step = min(max(mu + gain / curvature, lo), hi) - mu
         # A step within tol is taken as it stands: that close to the minimiser
         # the objective changes by less than its rounding.
-        converged = abs(step) <= tol
+        converged = abs(step) <= _TOL
         while True:
             trial, trial_slope = _model_and_slope(mu + step, eta)
             trial_value = objective(trial)
-            if trial_value < value or abs(step) <= tol:
+            if trial_value < value or abs(step) <= _TOL:
                 break
             step *= 0.5
         mu, value, model, slope = mu + step, trial_value, trial, trial_slope
@@ -166,24 +155,17 @@ def estimate_mu_rigorous(
     scores = [w * s for w, s in zip(weights, slope)]
     estimate = MuEstimate(
         mu_hat=mu,
-        method=METHOD_RIGOROUS,
-        residual=math.sqrt(math.fsum((c_obs[r - 1] - model[r - 1]) ** 2 for r in orders) / len(orders)),
-        fit_orders=tuple(orders),
+        residual=math.sqrt(math.fsum((c - m) ** 2 for c, m in zip(c_obs, model)) / len(ORDERS)),
         std_error=math.sqrt(_score_variance(scores, c_obs) / n) / math.fsum(g * s for g, s in zip(scores, slope)),
     )
     if not converged:
         raise ConvergenceError(
-            f"Gauss-Newton did not reach |d mu| <= {tol} within {max_iter} steps",
+            f"Gauss-Newton did not reach |d mu| <= {_TOL} within {_MAX_ITER} steps",
             best=estimate,
         )
+    if mu == _SCAN_GRID[0] and gain < 0.0 or mu == _SCAN_GRID[-1] and gain > 0.0:
+        raise ValueError(f"mu lies outside the estimator's range [{_SCAN_MIN:g}, {_SCAN_MAX:g}]")
     return estimate
-
-
-@functools.lru_cache(maxsize=8)
-def _scan_grid(mu_max: float) -> tuple[float, ...]:
-    """The scan's geometric grid from _SCAN_MIN to ``mu_max``."""
-    ratio = mu_max / _SCAN_MIN
-    return tuple(_SCAN_MIN * ratio ** (k / (_SCAN_POINTS - 1)) for k in range(_SCAN_POINTS))
 
 
 def _model_and_slope(mu: float, eta: Sequence[float]) -> tuple[list[float], list[float]]:
@@ -233,14 +215,13 @@ def poissonity_test(
     summary: CoincidenceSummary,
     mu_hat: float,
     eta: Sequence[float],
-    percentile: float = 0.99,
     min_expected: float = 5.0,
 ) -> PoissonityResult:
     """Chi-square test of the observed order probabilities against the model.
 
     Orders with fewer than ``min_expected`` expected events are dropped;
     one degree of freedom is charged for the fitted mu.  Passes when the
-    statistic stays below the requested chi-square percentile.
+    statistic stays below the chi-square distribution's 99th percentile.
     """
     if not (math.isfinite(mu_hat) and mu_hat >= 0.0):
         raise ValueError(f"mean photon number must be finite and >= 0, got {mu_hat!r}")
@@ -248,12 +229,11 @@ def poissonity_test(
     n = summary.total_pulses
     used = []
     terms = []
-    for r in ORDERS:
-        expected = model[r - 1]
+    for r, observed, expected in zip(ORDERS, summary.order_probs, model):
         if n * expected < min_expected:
             continue
         sigma = math.sqrt(expected * (1.0 - expected) / n)
-        terms.append(((summary.order_probability(r) - expected) / sigma) ** 2)
+        terms.append(((observed - expected) / sigma) ** 2)
         used.append(r)
     if len(used) < 2:
         raise InsufficientDataError(
@@ -261,7 +241,7 @@ def poissonity_test(
         )
     statistic = math.fsum(terms)
     dof = len(used) - 1
-    threshold = chi_square_quantile(percentile, dof)
+    threshold = chi_square_quantile(_POISSONITY_PERCENTILE, dof)
     return PoissonityResult(
         statistic=statistic,
         dof=dof,

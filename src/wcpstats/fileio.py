@@ -38,7 +38,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text; a NaN or an infinity, which JSON cannot hold, raises ValueError."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json_atomic(path: str | Path, payload) -> None:

@@ -59,8 +59,8 @@ class FluctuationFit:
     slope: float
     intercept: float
     points: tuple[FitPoint, ...]
-    slope_se: float
-    intercept_se: float
+    slope_se: float | None
+    intercept_se: float | None
 
     def sigma(self, mu: float) -> float:
         return self.slope * mu + self.intercept
@@ -83,7 +83,8 @@ def fit_fluctuation(series_per_mu: Mapping[float, Sequence[float]]) -> Fluctuati
     The sample standard deviation of each series is regressed on mu by
     closed-form least squares; the per-point residuals are the deviations
     from the fitted line.  Needs at least two distinct mu values, each with
-    a series of length >= 2; with exactly two the standard errors are NaN.
+    a series of length >= 2; with exactly two the line leaves no residual
+    freedom, and the standard errors are None.
     """
     if len(series_per_mu) < 2:
         raise ValueError("need series for at least two distinct mu values")
@@ -103,12 +104,11 @@ def fit_fluctuation(series_per_mu: Mapping[float, Sequence[float]]) -> Fluctuati
     slope = s_xy / s_xx
     intercept = sigma_bar - slope * mu_bar
     residuals = [y - (slope * x + intercept) for x, y in zip(mus, sigmas)]
+    slope_se = intercept_se = None
     if n > 2:
         variance = math.fsum(r * r for r in residuals) / (n - 2)
         slope_se = math.sqrt(variance / s_xx)
         intercept_se = math.sqrt(variance * (1.0 / n + mu_bar**2 / s_xx))
-    else:
-        slope_se = intercept_se = float("nan")
     points = tuple(
         FitPoint(mu=m, sigma=s, residual=r) for m, s, r in zip(mus, sigmas, residuals)
     )
@@ -145,30 +145,46 @@ def source_distribution_at(fit: FluctuationFit, mu: float) -> SourceDistribution
     return SourceDistribution(mean=float(mu), sigma=float(fit.sigma(mu)))
 
 
-def _positive_overlap(d_i: SourceDistribution, d_j: SourceDistribution) -> float:
-    """Integral of N(x; m_i, s_i) N(x; m_j, s_j) over x > 0, in closed form.
+def _sigma_shares(d_i: SourceDistribution, d_j: SourceDistribution) -> tuple[float, float, float]:
+    """s_i / s, s_j / s and (m_i - m_j) / s, for s = hypot(s_i, s_j).
 
-    The product of two normal pdfs is phi(m_i - m_j; s_i^2 + s_j^2) times a
-    normal pdf of mean m_c and spread s_c, whose mass above zero is
-    Phi(m_c / s_c).
+    Each goes through the larger sigma, whose ratio to s lies in
+    [1/sqrt(2), 1]: no sigma is squared and s itself is never formed, so
+    sigmas near either end of the float range neither underflow nor overflow.
     """
-    variance = d_i.sigma**2 + d_j.sigma**2
-    mean_c = (d_i.mean * d_j.sigma**2 + d_j.mean * d_i.sigma**2) / variance
-    sigma_c = d_i.sigma * d_j.sigma / math.sqrt(variance)
-    gap = d_i.mean - d_j.mean
-    peak = math.exp(-0.5 * gap * gap / variance) / math.sqrt(2.0 * math.pi * variance)
-    return peak * normal_cdf(mean_c / sigma_c)
+    larger = max(d_i.sigma, d_j.sigma)
+    ratio = math.hypot(d_i.sigma / larger, d_j.sigma / larger)
+    return d_i.sigma / larger / ratio, d_j.sigma / larger / ratio, (d_i.mean - d_j.mean) / larger / ratio
+
+
+def _mass_above_zero(d_i: SourceDistribution, d_j: SourceDistribution) -> float:
+    """Phi(m_c / s_c): the mass above zero of the normal pdf proportional to N(x; m_i, s_i) N(x; m_j, s_j).
+
+    Its mean is m_c = (m_i s_j^2 + m_j s_i^2) / s^2 and its spread
+    s_c = s_i s_j / s, with s = hypot(s_i, s_j).
+    """
+    u, v, _ = _sigma_shares(d_i, d_j)
+    mean_c = d_i.mean * v * v + d_j.mean * u * u
+    # The larger share is at least 1/sqrt(2), so s_c never underflows to 0.
+    sigma_c = min(d_i.sigma, d_j.sigma) * max(u, v)
+    return normal_cdf(mean_c / sigma_c)
 
 
 def cross_correlation(d_i: SourceDistribution, d_j: SourceDistribution) -> float:
     """Normalized overlap R of two count distributions on the positive axis.
 
     R = integral(f_i f_j) / sqrt(integral(f_i^2) integral(f_j^2)), each
-    integral in closed form.  R = 1 exactly when the distributions
+    integral in closed form: the product of two normal pdfs is
+    phi(m_i - m_j; s^2), with s^2 = s_i^2 + s_j^2, times a normal pdf whose
+    mass above zero is Phi(m_c / s_c).  The phi factors reduce to
+    exp(-(m_i - m_j)^2 / 2 s^2) sqrt(2 s_i s_j) / s, which depends on the
+    sigmas only through their shares of s.  R = 1 when the distributions
     coincide.
     """
-    norm = math.sqrt(_positive_overlap(d_i, d_i) * _positive_overlap(d_j, d_j))
-    return _positive_overlap(d_i, d_j) / norm
+    u, v, z = _sigma_shares(d_i, d_j)
+    peaks = math.exp(-0.5 * z * z) * math.sqrt(2.0 * u * v)
+    masses = _mass_above_zero(d_i, d_j) / math.sqrt(_mass_above_zero(d_i, d_i) * _mass_above_zero(d_j, d_j))
+    return peaks * masses
 
 
 def pairwise_leakage(correlation: float) -> float:

@@ -212,6 +212,17 @@ def test_estimate_keeps_the_fit_when_the_poissonity_check_lacks_counts(tmp_path,
     assert len(warnings) == 1 and "Poissonity" in warnings[0]
 
 
+def test_estimate_refuses_a_mu_beyond_the_fit_range(tmp_path, capsys):
+    hist_path, summary_path, est_path = tmp_path / "hist.json", tmp_path / "summary.json", tmp_path / "est.json"
+    assert run(["simulate", "--mu", "20", "--pulses", "100000", "--seed", "3", "--out-histogram", hist_path]) == 0
+    assert run(["coincidence", "--histogram", hist_path, "--out", summary_path]) == 0
+    capsys.readouterr()
+    assert run(["estimate", "--summary", summary_path, "--out", est_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[1e-06, 10]" in err
+    assert not est_path.exists()
+
+
 def test_estimate_with_efficiency_file(tmp_path):
     hist_path = tmp_path / "hist.json"
     run(["simulate", "--mu", "0.4", "--pulses", "100000", "--seed", "8",
@@ -263,6 +274,22 @@ def test_leakage_half_an_estimate_pair_exits_one(tmp_path, capsys, flag, missing
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "sources, expected",
+    [
+        (("A=1,1e-200", "B=1,1e-200"), 1.0),
+        (("A=1,1e-170", "B=2,1e-170"), 0.0),
+        (("A=0,1e200", "B=0,1e200"), 1.0),
+        (("A=0,1.7e308", "B=0,1.7e308"), 1.0),
+    ],
+    ids=["sigma-squared-underflows", "separated-sigma-squared-underflows", "sigma-squared-overflows", "hypot-overflows"],
+)
+def test_leakage_sources_with_extreme_sigma(tmp_path, sources, expected):
+    out = tmp_path / "leakage.json"
+    assert run(["leakage", "--source", sources[0], "--source", sources[1], "--out", out]) == 0
+    assert read_json(out)["pairs"][0]["R"] == pytest.approx(expected, abs=1e-12)
+
+
 def test_leakage_without_inputs_fails(capsys):
     assert run(["leakage"]) == 1
     assert "error" in capsys.readouterr().err
@@ -289,6 +316,17 @@ def test_fluct_generate_and_ingest(tmp_path):
         args += ["--series", f"{mu}={path}"]
     assert run(args) == 0
     assert read_json(refit_path)["points"][0]["mu"] == 0.3
+
+
+def test_fluct_two_point_fit_is_strict_json(tmp_path):
+    fit_path = tmp_path / "fit.json"
+    assert run(["fluct", "--mu-list", "0.2,0.4", "--cycles", "10", "--pulses-per-cycle", "10000", "--out", fit_path]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    fit = json.loads(fit_path.read_text(), parse_constant=reject)
+    assert fit["slope_se"] is None and fit["intercept_se"] is None
 
 
 def test_fluct_routes_fit_the_same_quantity(tmp_path):
@@ -437,7 +475,11 @@ def test_simulate_mu_for_a_label_outside_the_config(tmp_path):
 
 
 def test_unknown_flag_exits_with_usage_error():
-    for argv in (["simulate", "--no-such-flag"], ["estimate", "--summary", "summary.json", "--method", "both"]):
+    for argv in (
+        ["simulate", "--no-such-flag"],
+        ["estimate", "--summary", "summary.json", "--method", "both"],
+        ["fluct", "--mu-list", "0.2,0.4", "--label", "S1"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -512,8 +554,8 @@ def test_malformed_csv_row_exits_one_naming_the_line(tmp_path, capsys, text, arg
 
 @pytest.mark.parametrize(
     "counts, total",
-    [(3, 3), ([1.5, 1.5] + [0] * 14, 2), ([1] * 15, 15)],
-    ids=["scalar", "fraction", "short"],
+    [(3, 3), ([1.5, 1.5] + [0] * 14, 2), ([1] * 15, 15), ([True] * 3 + [0] * 13, 3)],
+    ids=["scalar", "fraction", "short", "bool"],
 )
 def test_bad_histogram_counts_exit_one(tmp_path, capsys, counts, total):
     path = tmp_path / "hist.json"

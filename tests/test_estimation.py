@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from wcpstats import estimation
 from wcpstats.coincidence import CoincidenceSummary, model_summary, observed_coincidences
 from wcpstats.config import default_efficiency_set
 from wcpstats.estimation import (
@@ -39,7 +40,6 @@ def _vacuum_summary(total=1000):
 def test_single_detector_worked_example():
     est = estimate_mu_single(81_250.0, 1.25e6, 0.13)
     assert est.mu_hat == pytest.approx(0.5, abs=1e-12)
-    assert est.method == "single"
 
 
 def test_single_detector_zero_counts():
@@ -75,8 +75,6 @@ def test_rigorous_round_trip_on_model_input(mu):
     summary = model_summary(mu, ETA, 10**12)
     est = estimate_mu_rigorous(summary, ETA)
     assert est.mu_hat == pytest.approx(mu, abs=1e-9)
-    assert est.method == "rigorous"
-    assert est.fit_orders == (1, 2, 3, 4)
 
 
 def test_rigorous_round_trip_random_eta():
@@ -127,33 +125,34 @@ def test_rigorous_std_error_matches_the_spread_over_seeds(mu):
     assert 0.85 <= np.std(estimates, ddof=1) / np.mean(errors) <= 1.15
 
 
-def test_rigorous_max_iter_one_raises_with_best_in_scan_bracket():
+def test_rigorous_max_iter_one_raises_with_best_in_scan_bracket(monkeypatch):
     mu = 0.5
+    monkeypatch.setattr(estimation, "_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as exc:
-        estimate_mu_rigorous(model_summary(mu, ETA, 10**12), ETA, max_iter=1)
+        estimate_mu_rigorous(model_summary(mu, ETA, 10**12), ETA)
     # The scan's argmin is a grid neighbour of mu, and its bracket spans one
     # more cell on either side.
     grid = np.geomspace(1e-6, 10.0, 256)
     j = int(np.searchsorted(grid, mu))
     assert grid[j - 2] <= exc.value.best.mu_hat <= grid[j + 1]
-    assert exc.value.best.method == "rigorous"
 
 
-@pytest.mark.parametrize("mu_max", [-1.0, 1e-7, math.inf, math.nan])
-def test_rigorous_rejects_a_scan_without_range(mu_max):
-    with pytest.raises(ValueError, match="mu_max"):
-        estimate_mu_rigorous(model_summary(0.5, ETA, 10**6), ETA, mu_max=mu_max)
-
-
-@pytest.mark.parametrize(
-    "eta, orders",
-    [((0.0,) * 4, (1, 2, 3, 4)), ((0.2, 0.0, 0.0, 0.0), (2,))],
-    ids=["no-detector", "pairs-of-one-detector"],
-)
-def test_rigorous_rejects_efficiencies_that_hide_mu(eta, orders):
-    # With one working detector only order 1 carries mu, so order 2 alone cannot be fitted.
+@pytest.mark.parametrize("eta", [(0.0,) * 4], ids=["no-detector"])
+def test_rigorous_rejects_efficiencies_that_hide_mu(eta):
     with pytest.raises(ValueError, match="depends on mu"):
-        estimate_mu_rigorous(model_summary(0.5, ETA, 10**6), eta, orders=orders)
+        estimate_mu_rigorous(model_summary(0.5, ETA, 10**6), eta)
+
+
+@pytest.mark.parametrize("mu", [1e-8, 5e-7, 10.01, 20.0])
+def test_rigorous_refuses_a_mu_outside_its_range(mu):
+    # The fit would stop at the range's end and call that converged.
+    with pytest.raises(ValueError, match=r"\[1e-06, 10\]"):
+        estimate_mu_rigorous(model_summary(mu, ETA, 10**12), ETA)
+
+
+@pytest.mark.parametrize("mu", [1e-6, 2e-6, 1e-4, 5.0, 9.99, 10.0])
+def test_rigorous_keeps_a_mu_inside_its_range_up_to_the_ends(mu):
+    assert estimate_mu_rigorous(model_summary(mu, ETA, 10**12), ETA).mu_hat == pytest.approx(mu, rel=1e-12)
 
 
 def test_rigorous_requires_clicks():

@@ -132,8 +132,11 @@ def test_fit_matches_lstsq_oracle(n_mus):
     fit = fit_fluctuation(series).to_dict()
     expected = lstsq_line_fit(series)
     for key in ("slope", "intercept", "slope_se", "intercept_se"):
-        assert fit[key] == pytest.approx(expected[key], rel=1e-12, nan_ok=True)
-    assert math.isnan(fit["slope_se"]) == (n_mus == 2)
+        if n_mus == 2 and key.endswith("_se"):
+            # Two points leave the line no residual freedom: the oracle's NaN is written as None.
+            assert fit[key] is None and math.isnan(expected[key])
+        else:
+            assert fit[key] == pytest.approx(expected[key], rel=1e-12)
     for point, reference in zip(fit["points"], expected["points"], strict=True):
         assert point["mu"] == reference["mu"]
         assert point["sigma"] == pytest.approx(reference["sigma"], rel=1e-12)

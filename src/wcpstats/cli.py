@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import photon_number_bounds, write_bounds_json
 from .coincidence import (
     DETECTORS,
     observed_coincidences,
@@ -29,17 +28,15 @@ from .coincidence import (
 )
 from .config import FluctuationModel, RunConfig, SourceModel
 from .fileio import read_json, write_json_atomic
-from .leakage import (
-    SourceDistribution,
-    fit_fluctuation,
-    leakage_payload,
-    pairwise_reports,
-)
 from .optics import EfficiencySet
 from .stats import ConvergenceError, InsufficientDataError
 
-# numpy loads only in the commands that work on arrays: the ones that
-# import ``estimation`` or ``simulator``, or bin a timestamp stream.
+# Every CLI call runs (and, without a bytecode cache, compiles) each module
+# it imports, so the module level holds only what ``main`` and the parser
+# need, with ``fileio`` and ``optics``, which ``coincidence`` and ``config``
+# load anyway; each command imports the rest itself.  numpy loads only in
+# the commands that work on arrays: the ones that import ``estimation`` or
+# ``simulator``, or bin a timestamp stream.
 
 OUTDIR_ENV = "WCPSTATS_OUTDIR"
 
@@ -165,6 +162,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import photon_number_bounds, write_bounds_json
+
     summary = read_summary_json(args.summary)
     eff = _efficiency_from_args(args, RunConfig.load(args.config))
     bounds = photon_number_bounds(summary, eff.eta)
@@ -188,6 +187,8 @@ def _parse_source_spec(spec: str) -> tuple[str, float, float]:
 
 
 def cmd_leakage(args) -> int:
+    from .leakage import SourceDistribution, leakage_payload, pairwise_reports
+
     if (args.mu_single is None) != (args.mu_rigorous is None):
         missing = "--mu-rigorous" if args.mu_rigorous is None else "--mu-single"
         raise ValueError(f"delta I(A:E) needs both --mu-single and --mu-rigorous; {missing} is missing")
@@ -226,6 +227,7 @@ _FLUCT_SIMULATION_FLAGS = {
 
 def cmd_fluct(args) -> int:
     from .estimation import intensity_from_counts, point_seed
+    from .leakage import fit_fluctuation
     from .simulator import SimConfig, read_count_series_csv, simulate_count_series, write_count_series_csv
 
     eff = RunConfig.load(args.config).efficiency_set()
@@ -391,6 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy's bundled OpenBLAS starts a worker thread per extra core as it
+    # loads, about 40% of a fresh ``import numpy`` on a 2-core host.  wcpstats
+    # makes no BLAS call (tests/test_cli.py scans the package for one), so one
+    # thread gives the same results; a value the user has set still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

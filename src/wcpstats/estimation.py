@@ -19,7 +19,7 @@ from .coincidence import ORDERS, CoincidenceSummary, observed_coincidences, pois
 from .fileio import write_text_atomic
 from .leakage import leakage_difference
 from .optics import N_DETECTORS, SUBSETS_PER_ORDER, EfficiencySet, subset_product_means, validate_efficiencies
-from .stats import ConvergenceError, InsufficientDataError, chi_square_quantile
+from .stats import ConvergenceError, InsufficientDataError, _check_seed, chi_square_quantile
 
 # The estimator's range of mu, spanned by a geometric scan of _SCAN_POINTS
 # points that brackets the minimiser.
@@ -269,7 +269,7 @@ def point_seed(seed: int, index: int) -> int:
     """Deterministic per-point sub-seed; independent of worker partitioning."""
     import numpy as np
 
-    return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence([_check_seed(seed), index]).generate_state(1, np.uint64)[0])
 
 
 def method_difference_sweep(

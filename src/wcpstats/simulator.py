@@ -30,7 +30,7 @@ from .coincidence import click_probabilities, pattern_probabilities
 from .config import DEFAULT_REP_RATE_HZ, FluctuationModel, SourceModel
 from .fileio import read_int_csv, write_int_csv
 from .optics import N_DETECTORS, EfficiencySet
-from .stats import normal_cdf
+from .stats import _check_seed, normal_cdf
 
 # Sub-stream tags keeping per-pulse and per-cycle draws independent.
 _PULSE_STREAM = 0
@@ -62,8 +62,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_pulses <= 0:
             raise ValueError(f"n_pulses must be > 0, got {self.n_pulses}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        _check_seed(self.seed)
         if self.rep_period_ps <= 0:
             raise ValueError(f"rep_period_ps must be > 0, got {self.rep_period_ps}")
         if self.cycle_pulses is not None and self.cycle_pulses <= 0:

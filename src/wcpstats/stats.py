@@ -47,6 +47,12 @@ def _check_mu(mu: float) -> float:
     return mu
 
 
+def _check_seed(seed: int) -> int:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return seed
+
+
 def _check_count(n) -> int:
     if isinstance(n, bool):
         raise ValueError(f"photon count must be an integer, got {n!r}")

@@ -23,6 +23,19 @@ def poisson_term(mu: float, n: int) -> float:
     return math.exp(-mu) * mu**n / math.factorial(n)
 
 
+def info_leakage_series(mu: float) -> float:
+    """sum_{n>=2} p_n / 2^n for mu > 0, with each term e^{-mu} (mu/2)^n / n! taken in log space.
+
+    The terms peak near n = mu/2 and are summed with math.fsum relative to
+    the largest, so nothing overflows or underflows before the final exp:
+    the result is 0.0 only where the true value underflows.
+    """
+    x = mu / 2.0
+    logs = [n * math.log(x) - math.lgamma(n + 1) - mu for n in range(2, int(x + 40.0 * math.sqrt(x)) + 60)]
+    top = max(logs)
+    return math.exp(top + math.log(math.fsum(math.exp(t - top) for t in logs)))
+
+
 def routing_subset_probabilities(n: int, eta) -> dict[frozenset[int], float]:
     """P(every detector in W clicks | n photons), by exhausting all routings.
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import ast
 import csv
 import json
 import os
@@ -17,7 +18,7 @@ from wcpstats.coincidence import model_summary, read_summary_json
 from wcpstats.config import RunConfig
 from wcpstats.estimation import estimate_mu_rigorous
 from wcpstats.fileio import read_json
-from wcpstats.leakage import pairwise_leakage
+from wcpstats.leakage import info_leakage, pairwise_leakage
 
 
 def run(argv):
@@ -68,6 +69,101 @@ def test_commands_without_arrays_load_no_numpy(tmp_path, argv):
     code += "sys.exit('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(wcpstats.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def fresh_python(code: str, **env: str | None) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter on this wcpstats; an ``env`` value of None removes that variable."""
+    child_env = {**os.environ, "PYTHONPATH": str(Path(wcpstats.__file__).parents[1])}
+    for name, value in env.items():
+        if value is None:
+            child_env.pop(name, None)
+        else:
+            child_env[name] = value
+    return subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["bounds", "--summary", "{summary}", "--out", "{out}"], ["leakage"]),
+        (["coincidence", "--histogram", "{histogram}", "--out", "{out}"], ["bounds", "leakage"]),
+        (["simulate", "--mu", "0.5", "--pulses", "100", "--seed", "1", "--out-histogram", "{out}"],
+         ["bounds", "leakage", "estimation"]),
+    ],
+    ids=["bounds", "coincidence-histogram", "simulate"],
+)
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, absent):
+    # Each module imported costs every CLI call its compile and run time.
+    summary, histogram = tmp_path / "summary.json", tmp_path / "histogram.json"
+    summary.write_text(json.dumps(SUMMARY))
+    histogram.write_text(json.dumps({"total_pulses": 10, "counts": [9, 1] + [0] * 14}))
+    argv = [a.format(out=tmp_path / "out.json", summary=summary, histogram=histogram) for a in argv]
+    code = f"import sys; from wcpstats.cli import main; assert main({argv!r}) == 0;"
+    code += f"print(sorted(m for m in {absent!r} if 'wcpstats.' + m in sys.modules))"
+    result = fresh_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+# OpenBLAS also takes its thread count from these, so the default test clears them all.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="counts the threads of a process in /proc on a host with two or more CPUs",
+)
+def test_cli_runs_numpy_on_one_thread(tmp_path):
+    # numpy's OpenBLAS starts a worker thread per extra CPU as it loads.
+    stamps = tmp_path / "ts.csv"
+    stamps.write_text("channel,time_ps\n1,100\n2,300\n")
+    argv = ["coincidence", "--timestamps", str(stamps), "--pulses", "10", "--out", str(tmp_path / "out.json")]
+    code = f"import os, sys; from wcpstats.cli import main; assert main({argv!r}) == 0;"
+    code += "assert 'numpy' in sys.modules; print(len(os.listdir('/proc/self/task')))"
+    result = fresh_python(code, **dict.fromkeys(BLAS_THREAD_VARIABLES))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "1"
+
+
+def test_cli_keeps_a_blas_thread_count_the_user_set():
+    code = "import os; from wcpstats.cli import main; main(['leakage', '--mu', '0.5']);"
+    code += "print(os.environ['OPENBLAS_NUM_THREADS'])"
+    result = fresh_python(code, OPENBLAS_NUM_THREADS="2")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "2"
+
+
+# numpy names whose calls reach BLAS.
+BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "matmul", "einsum", "tensordot", "kron"}
+
+
+def test_package_makes_no_blas_call():
+    # cli.main runs numpy on one BLAS thread; code that starts to use BLAS must revisit that default.
+    calls = []
+    for source in sorted(Path(wcpstats.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"), str(source))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                names = {"matmul"} if isinstance(node.op, ast.MatMult) else set()
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None) or ""
+                names = {part for alias in node.names for part in f"{module}.{alias.name}".split(".")}
+            else:
+                continue
+            if names & BLAS_NAMES:
+                calls.append(f"{source.name}:{node.lineno}")
+    assert calls == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_output_files_follow_the_umask(tmp_path, umask):
+    out = tmp_path / "leakage.json"
+    code = f"import os; os.umask({umask}); from wcpstats.cli import main;"
+    code += f"assert main(['leakage', '--mu', '0.5', '--out', {str(out)!r}]) == 0"
+    result = fresh_python(code)
+    assert result.returncode == 0, result.stderr
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_package_exports_resolve_to_their_home_modules():
@@ -290,6 +386,20 @@ def test_leakage_sources_with_extreme_sigma(tmp_path, sources, expected):
     assert read_json(out)["pairs"][0]["R"] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv, key, expected",
+    [
+        (["--mu", "2000"], ("multi_photon", "I_AE"), 0.0),
+        (["--mu-single", "3000", "--mu-rigorous", "1"], ("estimate_gap", "delta_I"), info_leakage(1.0)),
+    ],
+    ids=["mu", "estimate-gap"],
+)
+def test_leakage_at_large_mu(tmp_path, argv, key, expected):
+    out = tmp_path / "leakage.json"
+    assert run(["leakage", *argv, "--out", out]) == 0
+    assert read_json(out)[key[0]][key[1]] == expected
+
+
 def test_leakage_without_inputs_fails(capsys):
     assert run(["leakage"]) == 1
     assert "error" in capsys.readouterr().err
@@ -399,6 +509,23 @@ def test_sweep_csv_columns(tmp_path):
         "pulses", "seed", "delta_I",
     ]
     assert float(rows[0]["mu_true"]) == 0.3
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--pulses", "100", "--out-histogram", "{out}"],
+        ["sweep", "--steps", "2", "--pulses", "100", "--out", "{out}"],
+        ["fluct", "--mu-list", "0.5", "--cycles", "2", "--pulses-per-cycle", "100", "--out", "{out}"],
+    ],
+    ids=["simulate", "sweep", "fluct"],
+)
+def test_seed_outside_64_bits_exits_one(tmp_path, capsys, argv, seed):
+    out = tmp_path / "out"
+    assert run([a.format(out=out) for a in argv] + ["--seed", seed]) == 1
+    assert capsys.readouterr().err == f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
+    assert not out.exists()
 
 
 def test_identical_seed_gives_byte_identical_outputs(tmp_path):

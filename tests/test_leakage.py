@@ -27,6 +27,7 @@ from wcpstats.stats import multi_photon_probability
 
 from oracles import (
     gaussian_overlap_closed_form,
+    info_leakage_series,
     lstsq_line_fit,
     normal_cdf,
     poisson_term,
@@ -58,6 +59,17 @@ def test_info_leakage_matches_truncated_series():
     for mu in (0.1, 0.5, 1.0, 2.0, 3.0):
         series = math.fsum(poisson_term(mu, n) / 2**n for n in range(2, 61))
         assert info_leakage(mu) == pytest.approx(series, abs=1e-12)
+
+
+def test_info_leakage_matches_log_space_series_from_1e_4_to_1e4():
+    # The closed form loses about 4 eps / mu to cancellation as mu -> 0, and each
+    # log-space term of the series about eps per unit of its exponent (~ mu).
+    # Past mu ~ 1490 the value underflows; only there may it read 0.0.
+    eps = sys.float_info.epsilon
+    for mu in np.geomspace(1e-4, 1e4, 241).tolist():
+        expected, got = info_leakage_series(mu), info_leakage(mu)
+        assert (got == 0.0) == (expected == 0.0), mu
+        assert abs(got - expected) <= 8 * eps * (1 / mu + mu) * expected + 2 * math.ulp(0.0), mu
 
 
 def test_info_leakage_below_multi_photon_probability():

@@ -29,6 +29,7 @@ outside.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -58,11 +59,15 @@ class ShapeFactors:
 
 
 def shape_factors(eta: Sequence[float]) -> ShapeFactors:
-    """Shape factors of a 4-vector of strictly positive efficiencies."""
+    """Shape factors of a 4-vector of efficiencies whose product s_4 is a positive normal float.
+
+    Every s_r is at least s_4, so the rule also refuses a zero efficiency and
+    keeps each 1 / (r! * s_r) of the normalization finite.
+    """
     eta = validate_efficiencies(eta)
-    if any(x == 0.0 for x in eta):
-        raise ValueError("shape factors need strictly positive efficiencies")
     s = subset_product_means(eta)
+    if not s[3] >= sys.float_info.min:
+        raise ValueError(f"shape factors need s_4 = prod(eta) to be a positive normal float, got {s[3]!r}")
     eta_bar = s[0]
     if len(set(eta)) == 1:
         # Equal efficiencies make every xi vanish identically.
@@ -122,16 +127,12 @@ class PhotonNumberBounds:
         ]
 
 
-def evaluate_bounds(
-    c_tilde: Sequence[float], eta_bar: float, factors: ShapeFactors
-) -> PhotonNumberBounds:
-    """The ten explicit bound formulas for four detectors, verbatim."""
+def evaluate_bounds(c_tilde: Sequence[float], factors: ShapeFactors) -> PhotonNumberBounds:
+    """The ten explicit bound formulas for four detectors, verbatim; eta_bar is s_1 of ``factors``."""
     if len(c_tilde) != 4:
         raise ValueError(f"need 4 normalized coincidences, got {len(c_tilde)}")
-    if not (math.isfinite(eta_bar) and eta_bar > 0.0):
-        raise ValueError(f"eta_bar must be > 0, got {eta_bar!r}")
     c1, c2, c3, c4 = (float(x) for x in c_tilde)
-    e = eta_bar
+    e = factors.s[0]
     x21 = factors.xi[(2, 1)]
     x31 = factors.xi[(3, 1)]
     x32 = factors.xi[(3, 2)]
@@ -212,7 +213,7 @@ def evaluate_bounds(
 def photon_number_bounds(summary: CoincidenceSummary, eta: Sequence[float]) -> PhotonNumberBounds:
     """Bounds on p_0..p_3 and p_{>=4} from observed coincidences."""
     factors = shape_factors(eta)
-    return evaluate_bounds(normalized_coincidences(summary, factors), factors.s[0], factors)
+    return evaluate_bounds(normalized_coincidences(summary, factors), factors)
 
 
 def write_bounds_json(path: str | Path, bounds: PhotonNumberBounds, meta: dict | None = None) -> None:

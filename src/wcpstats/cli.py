@@ -27,16 +27,15 @@ from .coincidence import (
     write_timestamps_csv,
 )
 from .config import FluctuationModel, RunConfig, SourceModel
-from .fileio import read_json, write_json_atomic
-from .optics import EfficiencySet
+from .fileio import write_json_atomic
 from .stats import ConvergenceError, InsufficientDataError
 
 # Every CLI call runs (and, without a bytecode cache, compiles) each module
 # it imports, so the module level holds only what ``main`` and the parser
-# need, with ``fileio`` and ``optics``, which ``coincidence`` and ``config``
-# load anyway; each command imports the rest itself.  numpy loads only in
-# the commands that work on arrays: the ones that import ``estimation`` or
-# ``simulator``, or bin a timestamp stream.
+# need, with ``fileio``, which ``coincidence`` and ``config`` load anyway;
+# each command imports the rest itself.  numpy loads only in the commands
+# that work on arrays: the ones that import ``estimation`` or ``simulator``,
+# or bin a timestamp stream.
 
 OUTDIR_ENV = "WCPSTATS_OUTDIR"
 
@@ -47,12 +46,6 @@ def _out_path(raw: str) -> Path:
     if base and not path.is_absolute():
         return Path(base) / path
     return path
-
-
-def _efficiency_from_args(args, config: RunConfig) -> EfficiencySet:
-    if args.eff:
-        return read_json(args.eff, EfficiencySet.from_dict, "efficiency data")
-    return config.efficiency_set()
 
 
 def _source_from_args(args, config: RunConfig) -> SourceModel:
@@ -80,7 +73,7 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(
         n_pulses=pulses,
         seed=seed,
-        efficiency_set=config.efficiency_set(),
+        efficiency_set=config.efficiency_set,
         rep_period_ps=config.rep_period_ps,
         emit_timestamps=args.out_timestamps is not None,
     )
@@ -130,7 +123,7 @@ def cmd_estimate(args) -> int:
     from .estimation import estimate_mu_rigorous, estimate_mu_single, poissonity_test
 
     summary = read_summary_json(args.summary)
-    eta = _efficiency_from_args(args, RunConfig.load(args.config)).eta
+    eta = RunConfig.load(args.config).efficiency_set.eta
     # Clicks per trigger, one trigger per unit time: the repetition rate cancels.
     click_prob = summary.subset_probs[frozenset({args.detector})]
     single = estimate_mu_single(click_prob, 1.0, eta[args.detector - 1])
@@ -165,7 +158,7 @@ def cmd_bounds(args) -> int:
     from .bounds import photon_number_bounds, write_bounds_json
 
     summary = read_summary_json(args.summary)
-    eff = _efficiency_from_args(args, RunConfig.load(args.config))
+    eff = RunConfig.load(args.config).efficiency_set
     bounds = photon_number_bounds(summary, eff.eta)
     write_bounds_json(
         _out_path(args.out), bounds, meta={"eta_bar": eff.eta_bar, "total_pulses": summary.total_pulses}
@@ -230,7 +223,7 @@ def cmd_fluct(args) -> int:
     from .leakage import fit_fluctuation
     from .simulator import SimConfig, read_count_series_csv, simulate_count_series, write_count_series_csv
 
-    eff = RunConfig.load(args.config).efficiency_set()
+    eff = RunConfig.load(args.config).efficiency_set
     series_per_mu: dict[float, object] = {}
     if args.series:
         flags = _given_flags(args, _FLUCT_SIMULATION_FLAGS)
@@ -294,7 +287,7 @@ def cmd_sweep(args) -> int:
     grid = [args.mu_min + k * step for k in range(args.steps)]
     rows = method_difference_sweep(
         grid,
-        config.efficiency_set(),
+        config.efficiency_set,
         pulses_per_point=args.pulses,
         seed=args.seed,
         detector=args.detector,
@@ -342,16 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="mean photon number from a summary")
     p.add_argument("--summary", required=True)
-    p.add_argument("--eff", help="efficiency JSON (eta_b/eta_c/eta_d or eta)")
-    p.add_argument("--config")
+    p.add_argument("--config", help="run configuration JSON; its efficiencies enter the fit")
     p.add_argument("--detector", type=int, choices=DETECTORS, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("bounds", help="photon-number probability bounds")
     p.add_argument("--summary", required=True)
-    p.add_argument("--eff")
-    p.add_argument("--config")
+    p.add_argument("--config", help="run configuration JSON; its efficiencies enter the bounds")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bounds)
 

@@ -74,13 +74,8 @@ def default_tree() -> DetectionTree:
     )
 
 
-def default_efficiency_set(
-    eta_c: float | tuple[float, float, float, float] = DEFAULT_COUPLING,
-    eta_d: float = DEFAULT_DETECTOR_EFFICIENCY,
-) -> EfficiencySet:
-    return EfficiencySet(
-        eta_b=branching_efficiencies(default_tree()), eta_c=eta_c, eta_d=eta_d
-    )
+def default_efficiency_set() -> EfficiencySet:
+    return _efficiency_set_from_dict({})
 
 
 def _tree_from_dict(data: dict) -> DetectionTree:
@@ -101,6 +96,21 @@ def _tree_from_dict(data: dict) -> DetectionTree:
     )
 
 
+def _efficiency_set_from_dict(data: dict) -> EfficiencySet:
+    """The overall ``eta`` as given, or the products of ``geometry``, ``eta_c`` and ``eta_d``."""
+    if "eta" in data:
+        parts = [key for key in ("geometry", "eta_c", "eta_d") if key in data]
+        if parts:
+            raise TypeError(f"eta states the overall efficiencies and cannot be given with {', '.join(parts)}")
+        return EfficiencySet.from_overall([json_float(x, "eta entry") for x in data["eta"]])
+    tree = _tree_from_dict(data["geometry"]) if "geometry" in data else default_tree()
+    return EfficiencySet(
+        eta_b=branching_efficiencies(tree),
+        eta_c=json_coupling(data.get("eta_c", DEFAULT_COUPLING)),
+        eta_d=json_float(data.get("eta_d", DEFAULT_DETECTOR_EFFICIENCY), "eta_d"),
+    )
+
+
 def _source_from_dict(label: str, entry: dict) -> SourceModel:
     json_keys(entry, ("mu", "fluct_a", "fluct_b", "dark_rate"), f"source {label}")
     floats = {key: json_float(entry.get(key, 0.0), key) for key in ("fluct_a", "fluct_b", "dark_rate")}
@@ -110,31 +120,26 @@ def _source_from_dict(label: str, entry: dict) -> SourceModel:
 
 @dataclass
 class RunConfig:
-    """Validated bundle of geometry, efficiencies and source models.
+    """Validated bundle of efficiencies, trigger rate and source models.
 
     Construction runs every module-level validator, so a bad configuration
-    fails before any simulation or analysis starts.
+    fails before any simulation or analysis starts.  The efficiencies are
+    built once, into the one :class:`EfficiencySet` every command reads.
     """
 
-    tree: DetectionTree = field(default_factory=default_tree)
-    eta_c: float | tuple[float, float, float, float] = DEFAULT_COUPLING
-    eta_d: float = DEFAULT_DETECTOR_EFFICIENCY
+    efficiency_set: EfficiencySet = field(default_factory=default_efficiency_set)
     rep_rate_hz: float = DEFAULT_REP_RATE_HZ
     sources: dict[str, SourceModel] = field(default_factory=dict)
     pulses: int = 1_000_000
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rep_rate_hz) and self.rep_rate_hz > 0):
-            raise ValueError(f"rep_rate_hz must be > 0, got {self.rep_rate_hz!r}")
+        if not (self.rep_rate_hz > 0 and math.isfinite(1e12 / self.rep_rate_hz) and self.rep_period_ps >= 1):
+            raise ValueError(
+                f"rep_rate_hz must be > 0 with a finite trigger period of at least 1 ps, got {self.rep_rate_hz!r}"
+            )
         if self.pulses <= 0:
             raise ValueError(f"pulses must be > 0, got {self.pulses}")
-        self.efficiency_set()  # runs the optics validators
-
-    def efficiency_set(self) -> EfficiencySet:
-        return EfficiencySet(
-            eta_b=branching_efficiencies(self.tree), eta_c=self.eta_c, eta_d=self.eta_d
-        )
 
     @property
     def rep_period_ps(self) -> int:
@@ -149,13 +154,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        json_keys(data, ("geometry", "eta_c", "eta_d", "rep_rate_hz", "pulses", "seed", "sources"), "config")
-        kwargs = {key: json_float(data[key], key) for key in ("eta_d", "rep_rate_hz") if key in data}
-        kwargs.update((key, json_int(data[key], key)) for key in ("pulses", "seed") if key in data)
-        if "geometry" in data:
-            kwargs["tree"] = _tree_from_dict(data["geometry"])
-        if "eta_c" in data:
-            kwargs["eta_c"] = json_coupling(data["eta_c"])
+        json_keys(data, ("eta", "geometry", "eta_c", "eta_d", "rep_rate_hz", "pulses", "seed", "sources"), "config")
+        kwargs = {key: json_int(data[key], key) for key in ("pulses", "seed") if key in data}
+        if "rep_rate_hz" in data:
+            kwargs["rep_rate_hz"] = json_float(data["rep_rate_hz"], "rep_rate_hz")
+        kwargs["efficiency_set"] = _efficiency_set_from_dict(data)
         kwargs["sources"] = {
             label: _source_from_dict(label, entry) for label, entry in data.get("sources", {}).items()
         }

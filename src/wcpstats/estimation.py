@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .coincidence import ORDERS, CoincidenceSummary, observed_coincidences, poisson_coincidence_model
 from .fileio import write_text_atomic
-from .leakage import leakage_difference
 from .optics import N_DETECTORS, SUBSETS_PER_ORDER, EfficiencySet, subset_product_means, validate_efficiencies
 from .stats import ConvergenceError, InsufficientDataError, _check_seed, chi_square_quantile
 
@@ -30,6 +29,9 @@ _SCAN_GRID = tuple(_SCAN_MIN * (_SCAN_MAX / _SCAN_MIN) ** (k / (_SCAN_POINTS - 1
 # Gauss-Newton stops at the first step of at most _TOL, and gives up after _MAX_ITER steps.
 _TOL = 1e-10
 _MAX_ITER = 200
+# A weight is at most N^2 (its floor is 1/N^2) and a slope at most 1, so the
+# standard error's score variance grows as N^4; below this N it stays a float.
+_MAX_PULSES = 2**250
 # Imaginary step that carries the model's slope: its square vanishes against
 # every real product, and its products with the slopes stay normal floats.
 _SLOPE_STEP = 1e-100
@@ -102,7 +104,7 @@ def estimate_mu_rigorous(summary: CoincidenceSummary, eta: Sequence[float]) -> M
     :class:`ConvergenceError` carries the last iterate instead.  A minimiser
     that the range cuts off, one at either end of the scan with the slope
     still pointing out of it, raises ValueError rather than being returned
-    as the range's end.
+    as the range's end, and so does a summary of 2**250 pulses or more.
 
     ``residual`` is the RMS misfit over the four orders.  ``std_error`` is
     the sandwich standard error of mu_hat: the per-pulse covariance of the
@@ -118,6 +120,8 @@ def estimate_mu_rigorous(summary: CoincidenceSummary, eta: Sequence[float]) -> M
     if not any(e > 0.0 for e in eta):
         raise ValueError(f"no coincidence order depends on mu at efficiencies {eta!r}")
     n = summary.total_pulses
+    if n >= _MAX_PULSES:
+        raise ValueError(f"total_pulses must be below 2**250 (about {float(_MAX_PULSES):.2e}) for the fit's arithmetic")
     weights = tuple(1.0 / max(c * (1.0 - c) / n, 1.0 / (n * n)) for c in c_obs)
     w1, w2, w3, w4 = weights
     c1, c2, c3, c4 = c_obs
@@ -286,6 +290,7 @@ def method_difference_sweep(
     full coincidence model.  Points use deterministic sub-seeds, so the
     sweep may be parallelized without changing results.
     """
+    from .leakage import leakage_difference
     from .simulator import SimConfig, SourceModel, simulate_pulses
 
     grid = [float(m) for m in mu_grid]

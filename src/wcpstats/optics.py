@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .fileio import json_float, json_keys
+from .fileio import json_float
 
 N_DETECTORS = 4
 SUBSETS_PER_ORDER = tuple(float(math.comb(N_DETECTORS, r)) for r in range(1, N_DETECTORS + 1))
@@ -137,7 +137,7 @@ class EfficiencySet:
 
     def __post_init__(self) -> None:
         if len(self.eta_b) != N_DETECTORS:
-            raise ValueError(f"eta_b needs {N_DETECTORS} entries, got {len(self.eta_b)}")
+            raise ValueError(f"expected {N_DETECTORS} efficiencies, got {len(self.eta_b)}")
         object.__setattr__(self, "eta_b", tuple(float(x) for x in self.eta_b))
         for x in self.eta_b:
             if not (math.isfinite(x) and 0.0 <= x <= 1.0):
@@ -146,11 +146,7 @@ class EfficiencySet:
         if not (math.isfinite(self.eta_d) and 0.0 <= self.eta_d <= 1.0):
             raise ValueError(f"detector efficiency out of [0, 1]: {self.eta_d!r}")
         eta = tuple(b * c * self.eta_d for b, c in zip(self.eta_b, coupling))
-        if sum(eta) > 1.0 + _SUM_TOL:
-            raise ValueError(
-                "overall efficiencies sum above 1; a photon can reach at most one detector"
-            )
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", validate_efficiencies(eta))
 
     @property
     def eta_bar(self) -> float:
@@ -162,26 +158,12 @@ class EfficiencySet:
         """Wrap already-combined overall efficiencies."""
         return cls(eta_b=tuple(float(x) for x in eta), eta_c=1.0, eta_d=1.0)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EfficiencySet":
-        if "eta_b" in data:
-            json_keys(data, ("eta_b", "eta_c", "eta_d"), "efficiency")
-            return cls(
-                eta_b=tuple(json_float(x, "eta_b entry") for x in data["eta_b"]),
-                eta_c=json_coupling(data.get("eta_c", 1.0)),
-                eta_d=json_float(data.get("eta_d", 1.0), "eta_d"),
-            )
-        if "eta" in data:
-            eta = json_keys(data, ("eta",), "efficiency")["eta"]
-            return cls.from_overall([json_float(x, "eta entry") for x in eta])
-        raise ValueError("efficiency data must provide either 'eta_b' or 'eta'")
-
 
 def validate_efficiencies(eta: Sequence[float]) -> tuple[float, float, float, float]:
     """Check a raw 4-vector of overall efficiencies and return it as a tuple.
 
-    Used by every analysis routine that takes efficiencies directly instead
-    of an :class:`EfficiencySet`.
+    The one rule for an overall vector: :class:`EfficiencySet` applies it to
+    its products, and every analysis routine to the efficiencies it is given.
     """
     if isinstance(eta, EfficiencySet):
         return eta.eta

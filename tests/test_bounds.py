@@ -100,6 +100,16 @@ def test_shape_factors_reject_zero_efficiency():
         shape_factors((0.0, 0.1, 0.1, 0.1))
 
 
+@pytest.mark.parametrize(
+    "eta", [(1e-100,) * 4, (1e-90, 1e-75, 1e-75, 1e-75)], ids=["product-underflows", "product-subnormal"]
+)
+def test_shape_factors_need_a_normal_product(eta):
+    # 1 / (4! * s_4) normalizes the four-fold coincidences; a subnormal s_4 can overflow it.
+    with pytest.raises(ValueError, match="s_4"):
+        shape_factors(eta)
+    assert shape_factors((1e-76,) * 4).s[3] == pytest.approx(1e-304, rel=1e-12)
+
+
 def test_vacuum_bounds_collapse():
     summary = model_summary(0.0, (0.05,) * 4, 1000)
     bounds = photon_number_bounds(summary, (0.05,) * 4)
@@ -155,7 +165,7 @@ def test_uniform_case_reduction():
     factors = shape_factors(eta)
     eta_bar = factors.s[0]
     c_tilde = normalized_coincidences(summary, factors)
-    bounds = evaluate_bounds(c_tilde, eta_bar, factors)
+    bounds = evaluate_bounds(c_tilde, factors)
     ref_lower, ref_upper = _uniform_reference_bounds(c_tilde, eta_bar)
     assert bounds.lower == ref_lower
     assert bounds.upper == ref_upper
@@ -171,7 +181,7 @@ def test_clipping_for_reporting():
     eta = (0.05,) * 4
     factors = shape_factors(eta)
     # Artificial normalized coincidences push some raw bounds outside [0, 1].
-    bounds = evaluate_bounds((2.0, 0.0, 0.0, 0.0), 0.05, factors)
+    bounds = evaluate_bounds((2.0, 0.0, 0.0, 0.0), factors)
     assert bounds.lower[1] > 1.0  # raw value kept verbatim
     clipped_lo, clipped_hi = bounds.clipped()
     assert all(0.0 <= v <= 1.0 for v in clipped_lo + clipped_hi)

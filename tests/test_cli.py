@@ -47,22 +47,25 @@ def test_cli_import_loads_no_scipy():
         ["coincidence", "--histogram", "{histogram}", "--out", "{out}"],
         ["leakage", "--mu", "0.5", "--source", "A=0.05,0.0025", "--source", "B=0.0525,0.0025"],
         ["estimate", "--summary", "{source_summary}", "--config", "{config}", "--out", "{out}"],
-        ["estimate", "--summary", "{source_summary}", "--eff", "{eff}", "--out", "{out}"],
+        ["estimate", "--summary", "{source_summary}", "--config", "{eta_config}", "--out", "{out}"],
     ],
-    ids=["import", "bounds", "coincidence-histogram", "leakage", "estimate-config", "estimate-eff"],
+    ids=["import", "bounds", "coincidence-histogram", "leakage", "estimate-config", "estimate-eta-config"],
 )
 def test_commands_without_arrays_load_no_numpy(tmp_path, argv):
     # numpy is most of the start-up time of a CLI call that does no array work.
     summary, histogram = tmp_path / "summary.json", tmp_path / "histogram.json"
     summary.write_text(json.dumps(SUMMARY))
     histogram.write_text(json.dumps({"total_pulses": 10, "counts": [9, 1] + [0] * 14}))
-    config, eff = tmp_path / "config.json", tmp_path / "eff.json"
+    config, eta_config = tmp_path / "config.json", tmp_path / "eta.json"
     config.write_text("{}")
-    eta = RunConfig.from_dict({}).efficiency_set().eta
-    eff.write_text(json.dumps({"eta": list(eta)}))
+    eta = RunConfig.from_dict({}).efficiency_set.eta
+    eta_config.write_text(json.dumps({"eta": list(eta)}))
     source_summary = tmp_path / "source_summary.json"
     source_summary.write_text(json.dumps(model_summary(0.5, eta, 10**6).to_dict()))
-    paths = {"summary": summary, "histogram": histogram, "config": config, "eff": eff, "source_summary": source_summary}
+    paths = {
+        "summary": summary, "histogram": histogram, "config": config, "eta_config": eta_config,
+        "source_summary": source_summary,
+    }
     argv = [a.format(out=tmp_path / "out.json", **paths) for a in argv]
     code = "import sys; from wcpstats.cli import main;"
     code += f"assert main({argv!r}) == 0;" if argv else ""
@@ -89,8 +92,9 @@ def fresh_python(code: str, **env: str | None) -> subprocess.CompletedProcess:
         (["coincidence", "--histogram", "{histogram}", "--out", "{out}"], ["bounds", "leakage"]),
         (["simulate", "--mu", "0.5", "--pulses", "100", "--seed", "1", "--out-histogram", "{out}"],
          ["bounds", "leakage", "estimation"]),
+        (["estimate", "--summary", "{summary}", "--out", "{out}"], ["leakage", "bounds", "simulator"]),
     ],
-    ids=["bounds", "coincidence-histogram", "simulate"],
+    ids=["bounds", "coincidence-histogram", "simulate", "estimate"],
 )
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, argv, absent):
     # Each module imported costs every CLI call its compile and run time.
@@ -297,7 +301,7 @@ def test_estimate_keeps_the_fit_when_the_poissonity_check_lacks_counts(tmp_path,
     assert run(["coincidence", "--histogram", hist_path, "--out", summary_path]) == 0
     capsys.readouterr()
     assert run(["estimate", "--summary", summary_path, "--out", est_path]) == 0
-    eta = RunConfig.from_dict({}).efficiency_set().eta
+    eta = RunConfig.from_dict({}).efficiency_set.eta
     fit = estimate_mu_rigorous(read_summary_json(summary_path), eta)
     estimate = read_json(est_path)
     assert estimate["mu_rigorous"] == fit.mu_hat
@@ -319,6 +323,53 @@ def test_estimate_refuses_a_mu_beyond_the_fit_range(tmp_path, capsys):
     assert not est_path.exists()
 
 
+def test_estimate_refuses_total_pulses_past_the_fit_range(tmp_path, capsys):
+    # The fit's arithmetic stays within float range for N below 2**250 (about 1.8e75).
+    eta = RunConfig.from_dict({}).efficiency_set.eta
+    summary_path, est_path = tmp_path / "summary.json", tmp_path / "est.json"
+    summary_path.write_text(json.dumps(model_summary(0.5, eta, 10**20).to_dict()))
+    assert run(["estimate", "--summary", summary_path, "--out", est_path]) == 0
+    assert read_json(est_path)["mu_rigorous"] == pytest.approx(0.5, rel=1e-9)
+    est_path.unlink()
+    summary_path.write_text(json.dumps({**model_summary(0.5, eta, 10).to_dict(), "total_pulses": 10**155}))
+    capsys.readouterr()
+    assert run(["estimate", "--summary", summary_path, "--out", est_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "total_pulses" in err
+    assert not est_path.exists()
+
+
+def test_config_eta_of_the_default_vector_gives_the_default_outputs(tmp_path):
+    eta = RunConfig.from_dict({}).efficiency_set.eta
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(model_summary(0.5, eta, 10**6).to_dict()))
+    outputs = {}
+    for name, payload in (("empty", {}), ("eta", {"eta": list(eta)})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(payload))
+        paths = tmp_path / f"{name}-estimate.json", tmp_path / f"{name}-bounds.json"
+        assert run(["estimate", "--summary", summary, "--config", config, "--out", paths[0]]) == 0
+        assert run(["bounds", "--summary", summary, "--config", config, "--out", paths[1]]) == 0
+        outputs[name] = [path.read_bytes() for path in paths]
+    assert outputs["eta"] == outputs["empty"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"eta_d": 1e-100}, {"eta": [1e-90, 1e-75, 1e-75, 1e-75]}],
+    ids=["eta_d-underflows", "eta-product-subnormal"],
+)
+def test_bounds_with_efficiency_products_below_normal_floats_exit_one(tmp_path, capsys, payload):
+    # The bounds divide by s_4 = prod(eta), which must be a positive normal float.
+    summary, config, out = tmp_path / "summary.json", tmp_path / "run.json", tmp_path / "bounds.json"
+    summary.write_text(json.dumps(SUMMARY))
+    config.write_text(json.dumps(payload))
+    assert run(["bounds", "--summary", summary, "--config", config, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "s_4" in err
+    assert not out.exists()
+
+
 def test_estimate_with_efficiency_file(tmp_path):
     hist_path = tmp_path / "hist.json"
     run(["simulate", "--mu", "0.4", "--pulses", "100000", "--seed", "8",
@@ -326,15 +377,12 @@ def test_estimate_with_efficiency_file(tmp_path):
     summary_path = tmp_path / "summary.json"
     run(["coincidence", "--histogram", hist_path, "--out", summary_path])
 
+    # The overall efficiencies eta_b,i * eta_c * eta_d of the default splitters, stated directly.
     eff_path = tmp_path / "eff.json"
-    eff_path.write_text(json.dumps({
-        "eta_b": [0.234156, 0.220324, 0.208833, 0.206568],
-        "eta_c": 1.0,
-        "eta_d": 0.65,
-    }))
+    eff_path.write_text(json.dumps({"eta": [b * 1.0 * 0.65 for b in (0.234156, 0.220324, 0.208833, 0.206568)]}))
     est_path = tmp_path / "est.json"
     assert run(
-        ["estimate", "--summary", summary_path, "--eff", eff_path, "--out", est_path]
+        ["estimate", "--summary", summary_path, "--config", eff_path, "--out", est_path]
     ) == 0
     assert read_json(est_path)["mu_rigorous"] == pytest.approx(0.4, rel=0.05)
 
@@ -605,6 +653,8 @@ def test_unknown_flag_exits_with_usage_error():
     for argv in (
         ["simulate", "--no-such-flag"],
         ["estimate", "--summary", "summary.json", "--method", "both"],
+        ["estimate", "--summary", "summary.json", "--eff", "eff.json"],
+        ["bounds", "--summary", "summary.json", "--eff", "eff.json", "--out", "bounds.json"],
         ["fluct", "--mu-list", "0.2,0.4", "--label", "S1"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -631,6 +681,27 @@ def test_bad_values_exit_one(tmp_path, capsys, argv):
     out = tmp_path / "x.json"
     assert run([a.format(csv=path, config=config, out=out) for a in argv]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "{config}", "--pulses", "10", "--out-histogram", "{out}", "--out-timestamps", "{csv}"],
+        ["coincidence", "--timestamps", "{csv}", "--pulses", "10", "--config", "{config}", "--out", "{out}"],
+    ],
+    ids=["simulate", "coincidence-timestamps"],
+)
+@pytest.mark.parametrize("rate", [1e-300, 3e12], ids=["period-overflows", "period-below-1ps"])
+def test_rep_rate_without_a_whole_ps_period_exits_one(tmp_path, capsys, argv, rate):
+    path = tmp_path / "input.csv"
+    path.write_text("channel,time_ps\n1,100\n2,300\n")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"rep_rate_hz": rate}))
+    out = tmp_path / "x.json"
+    assert run([a.format(csv=path, config=config, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rep_rate_hz" in err
     assert not out.exists()
 
 
@@ -742,12 +813,11 @@ def test_malformed_summary_exits_one(tmp_path, capsys, payload):
     "payload",
     [
         {"eta": 0.5},
-        {"eta_b": 0.5},
-        {"eta_b": [None, 0.1, 0.1, 0.1]},
-        {"eta_b": [0.1] * 4, "eta_d": "x"},
+        {"eta": "0.1,0.1,0.1,0.1"},
+        {"eta_d": "x"},
         3,
     ],
-    ids=["scalar-eta", "scalar-eta_b", "null-eta_b", "string-eta_d", "scalar-top-level"],
+    ids=["scalar-eta", "string-eta", "string-eta_d", "scalar-top-level"],
 )
 def test_malformed_efficiency_file_exits_one(tmp_path, capsys, payload):
     summary_path = tmp_path / "summary.json"
@@ -755,14 +825,14 @@ def test_malformed_efficiency_file_exits_one(tmp_path, capsys, payload):
     eff_path = tmp_path / "eff.json"
     eff_path.write_text(json.dumps(payload))
     out = tmp_path / "bounds.json"
-    assert run(["bounds", "--summary", summary_path, "--eff", eff_path, "--out", out]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert run(["bounds", "--summary", summary_path, "--config", eff_path, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed run config: ")
     assert not out.exists()
 
 
 SIMULATE_CONFIG_ARGV = ["simulate", "--config", "{path}", "--pulses", "10", "--out-histogram", "{out}"]
-EFF_ARGV = ["bounds", "--summary", "{summary}", "--eff", "{path}", "--out", "{out}"]
-ESTIMATE_EFF_ARGV = ["estimate", "--summary", "{summary}", "--eff", "{path}", "--out", "{out}"]
+BOUNDS_CONFIG_ARGV = ["bounds", "--summary", "{summary}", "--config", "{path}", "--out", "{out}"]
+ESTIMATE_CONFIG_ARGV = ["estimate", "--summary", "{summary}", "--config", "{path}", "--out", "{out}"]
 SUMMARY_ARGV = ["bounds", "--summary", "{path}", "--out", "{out}"]
 
 
@@ -794,11 +864,11 @@ SUMMARY_ARGV = ["bounds", "--summary", "{path}", "--out", "{out}"]
         ({"sources": {"S1": {"mu": 0.5, "dark_rate": False}}}, SIMULATE_CONFIG_ARGV, "run config"),
         ({"geometry": {"root": [True, False], "transmitted": [0.5, 0.4], "reflected": [0.5, 0.4]}},
          SIMULATE_CONFIG_ARGV, "run config"),
-        ({"eta": [0.1] * 4, "eta_d": 0.5, "bogus": 1}, EFF_ARGV, "efficiency data"),
-        ({"eta_b": [0.2] * 4, "eta": [0.1] * 4}, EFF_ARGV, "efficiency data"),
-        ({"eta": [0.1, 0.1, 0.1, True]}, EFF_ARGV, "efficiency data"),
-        ({"eta_b": [0.3, 0.2, 0.2, True], "eta_d": 0.1}, ESTIMATE_EFF_ARGV, "efficiency data"),
-        ({"eta_b": [0.1] * 4, "eta_d": "0.5"}, ESTIMATE_EFF_ARGV, "efficiency data"),
+        ({"eta": [0.1] * 4, "eta_d": 0.5}, BOUNDS_CONFIG_ARGV, "run config"),
+        ({"eta_b": [0.2] * 4, "eta": [0.1] * 4}, BOUNDS_CONFIG_ARGV, "run config"),
+        ({"eta": [0.1, 0.1, 0.1, True]}, BOUNDS_CONFIG_ARGV, "run config"),
+        ({"eta": [0.3, 0.2, 0.2, True]}, ESTIMATE_CONFIG_ARGV, "run config"),
+        ({"eta_d": "0.5"}, ESTIMATE_CONFIG_ARGV, "run config"),
         ({**SUMMARY, "subsets": {**SUMMARY["subsets"], "1": "0.1"}}, SUMMARY_ARGV, "coincidence summary"),
         ({**SUMMARY, "orders": [0.1, False, 0.0, 0.0]}, SUMMARY_ARGV, "coincidence summary"),
         ({**SUMMARY, "subsets": {**SUMMARY["subsets"], "a": 0.0}}, SUMMARY_ARGV, "coincidence summary"),
@@ -813,17 +883,19 @@ SUMMARY_ARGV = ["bounds", "--summary", "{path}", "--out", "{out}"]
          "pattern histogram"),
         ({"sources": {"S1": {"fluct_a": 0.1}}}, SIMULATE_CONFIG_ARGV, "run config"),
         ({"geometry": {"transmitted": [0.5, 0.4], "reflected": [0.5, 0.4]}}, SIMULATE_CONFIG_ARGV, "run config"),
-        ([0.1, 0.1, 0.1, 0.1], EFF_ARGV, "efficiency data"),
+        ([0.1, 0.1, 0.1, 0.1], BOUNDS_CONFIG_ARGV, "run config"),
+        ({"eta": [0.1] * 4, "geometry": {"root": [0.5, 0.4], "transmitted": [0.5, 0.4], "reflected": [0.5, 0.4]}},
+         ESTIMATE_CONFIG_ARGV, "run config"),
     ],
     ids=["list-histogram", "bool-histogram-total", "list-config", "scalar-source", "list-geometry", "fractional-pulses",
          "fractional-seed", "bool-pulses", "unknown-key", "unknown-source-key",
          "unknown-splitter-key", "bool-detector-order", "repeated-key", "repeated-nested-key",
          "bool-rep-rate", "string-eta_d", "bool-eta_c-entry", "string-mu", "bool-dark-rate",
          "bool-splitter-ratio", "eta-with-eta_d", "eta_b-with-eta", "bool-eta-entry",
-         "estimate-bool-eta_b-entry", "estimate-string-eta_d", "string-subset-prob", "bool-order-prob",
+         "estimate-bool-eta-entry", "estimate-string-eta_d", "string-subset-prob", "bool-order-prob",
          "letter-subset-key", "empty-field-subset-key", "subset-spelled-twice", "summary-without-orders",
          "summary-without-subset", "histogram-without-counts", "histogram-without-total", "source-without-mu",
-         "geometry-without-root", "list-efficiency"],
+         "geometry-without-root", "list-efficiency", "eta-with-geometry"],
 )
 def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message):
     path = tmp_path / "input.json"
@@ -870,10 +942,16 @@ def test_readme_commands_parse():
 
 def test_readme_example_config_loads():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    example = readme.split("### Configuration file", 1)[1].split("```json", 1)[1].split("```", 1)[0]
-    config = RunConfig.from_dict(json.loads(example))
-    assert config.rep_period_ps == 800_000
-    assert config.source("S1").mu == 0.5
+    section = readme.split("### Configuration file", 1)[1].split("\n## ", 1)[0]
+    examples = [json.loads(block.split("```", 1)[0]) for block in section.split("```json")[1:]]
+    assert [("eta" in example) for example in examples] == [False, True]
+    configs = [RunConfig.from_dict(example) for example in examples]
+    for config in configs:
+        assert config.rep_period_ps == 800_000
+        assert config.source("S1").mu == 0.5
+    # The eta form states the overall efficiencies that the tree form resolves to.
+    assert configs[1].efficiency_set.eta == tuple(examples[1]["eta"])
+    assert configs[0].efficiency_set.eta == pytest.approx(configs[1].efficiency_set.eta, abs=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -143,6 +143,14 @@ def test_rigorous_rejects_efficiencies_that_hide_mu(eta):
         estimate_mu_rigorous(model_summary(0.5, ETA, 10**6), eta)
 
 
+def test_rigorous_refuses_total_pulses_past_its_float_range():
+    # Weights reach N^2 and the standard error's score variance N^4; below 2**250 both stay floats.
+    below = model_summary(0.5, ETA, 2**250 - 1)
+    assert estimate_mu_rigorous(below, ETA).mu_hat == pytest.approx(0.5, rel=1e-9)
+    with pytest.raises(ValueError, match="total_pulses"):
+        estimate_mu_rigorous(model_summary(0.5, ETA, 2**250), ETA)
+
+
 @pytest.mark.parametrize("mu", [1e-8, 5e-7, 10.01, 20.0])
 def test_rigorous_refuses_a_mu_outside_its_range(mu):
     # The fit would stop at the range's end and call that converged.

@@ -134,9 +134,3 @@ def test_validate_efficiencies_accepts_sets_and_sequences():
         validate_efficiencies([0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         validate_efficiencies([0.3, 0.3, 0.3, 0.3])
-
-
-def test_round_trip_dict():
-    eff = default_efficiency_set()
-    direct = EfficiencySet.from_dict({"eta": list(eff.eta)})
-    assert direct.eta == pytest.approx(eff.eta, abs=1e-15)

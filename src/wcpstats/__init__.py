@@ -1,11 +1,11 @@
 """Photon-number statistics characterization for weak coherent pulse sources.
 
 The toolkit simulates and analyzes runs of a four-detector coincidence
-bench: Poisson photon statistics and attenuation planning, detection-tree
-efficiencies, coincidence counting, single- and four-detector mean-photon-
-number estimation, rigorous photon-number-probability bounds, and
-information-leakage estimates from multi-photon pulses and from
-inter-source intensity-fluctuation distinguishability.
+bench: Poisson photon statistics, detection-tree efficiencies, coincidence
+counting, single- and four-detector mean-photon-number estimation, rigorous
+photon-number-probability bounds, and information-leakage estimates from
+multi-photon pulses and from inter-source intensity-fluctuation
+distinguishability.
 """
 
 __version__ = "0.1.0"
@@ -30,7 +30,7 @@ _EXPORTS = {
         "poissonity_test",
     ),
     "leakage": (
-        "FluctuationFit", "LeakageReport", "SourceDistribution", "cross_correlation", "fit_fluctuation",
+        "FluctuationFit", "SourceDistribution", "cross_correlation", "fit_fluctuation",
         "info_leakage", "leakage_difference", "pairwise_leakage", "pairwise_reports",
         "source_distribution_at",
     ),
@@ -38,10 +38,7 @@ _EXPORTS = {
     "simulator": (
         "SimConfig", "simulate_count_series", "simulate_patterns", "simulate_pulses", "simulate_timestamps",
     ),
-    "stats": (
-        "AttenuationSpec", "ConvergenceError", "InsufficientDataError", "attenuation_for_target",
-        "coherent_fock_probability", "desired_mean_photon", "multi_photon_probability", "poisson_pmf",
-    ),
+    "stats": ("ConvergenceError", "InsufficientDataError", "coherent_fock_probability", "poisson_pmf"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

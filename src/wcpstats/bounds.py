@@ -105,14 +105,6 @@ class PhotonNumberBounds:
     def widths(self) -> tuple[float, float, float, float, float]:
         return tuple(u - l for l, u in zip(self.lower, self.upper))
 
-    def contains(self, probabilities: Sequence[float]) -> bool:
-        """True when every given value lies inside its raw interval."""
-        if len(probabilities) != len(BOUND_LABELS):
-            raise ValueError(f"need {len(BOUND_LABELS)} probabilities")
-        return all(
-            l <= p <= u for l, p, u in zip(self.lower, probabilities, self.upper)
-        )
-
     def to_report_entries(self) -> list[dict]:
         clipped_lo, clipped_hi = self.clipped()
         return [

@@ -94,6 +94,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_coincidence(args) -> int:
+    # Read in both routes, so that a bad --config fails whichever route is taken.
+    config = RunConfig.load(args.config)
     if args.histogram:
         flags = _given_flags(args, ("pulses", "offset_ps", "window_ps"))
         if flags:
@@ -105,7 +107,7 @@ def cmd_coincidence(args) -> int:
             raise ValueError("--pulses is required when binning a timestamp stream")
         result = patterns_from_timestamps(
             read_timestamps_csv(args.timestamps),
-            rep_period_ps=RunConfig.load(args.config).rep_period_ps,
+            rep_period_ps=config.rep_period_ps,
             n_pulses=args.pulses,
             offset_ps=args.offset_ps or 0,
             window_ps=args.window_ps,
@@ -168,6 +170,17 @@ def cmd_bounds(args) -> int:
         "bounds: " + ", ".join(f"p{label} in [{l:.4g}, {u:.4g}]" for label, l, u in zip(("0", "1", "2", "3", ">=4"), lo, hi))
     )
     return 0
+
+
+def _count(text: str) -> int:
+    """An argparse type for a count flag, which must be > 0, so that a usage error names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
 
 
 def _parse_source_spec(spec: str) -> tuple[str, float, float]:
@@ -315,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fluct-a", type=float, help="fluctuation slope (overrides config)")
     p.add_argument("--fluct-b", type=float, help="fluctuation intercept (overrides config)")
     p.add_argument("--dark-rate", type=float, help="dark-click probability per detector and pulse (overrides config)")
-    p.add_argument("--pulses", type=int)
+    p.add_argument("--pulses", type=_count)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--out-histogram", required=True)
@@ -327,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--histogram", help="pattern histogram JSON")
     group.add_argument("--timestamps", help="timestamp CSV")
     p.add_argument("--config", help="run configuration JSON; its rep_rate_hz sets the binning period")
-    p.add_argument("--pulses", type=int, help="trigger periods covered by the timestamps")
+    p.add_argument("--pulses", type=_count, help="trigger periods covered by the timestamps")
     p.add_argument("--offset-ps", type=int, help="default 0")
     p.add_argument("--window-ps", type=int)
     p.add_argument("--out", required=True)
@@ -360,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", action="append", help="MU=PATH count-series CSV (repeatable)")
     p.add_argument("--mu-list", help="comma-separated mu grid to simulate")
     p.add_argument("--cycles", type=int, help="default 50")
-    p.add_argument("--pulses-per-cycle", type=int, default=100_000)
+    p.add_argument("--pulses-per-cycle", type=_count, default=100_000)
     p.add_argument("--seed", type=int, help="default 1")
     p.add_argument("--detector", type=int, choices=DETECTORS, default=1)
     p.add_argument("--fluct-a", type=float, help="default 0.05")
@@ -374,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-min", type=float, default=0.1)
     p.add_argument("--mu-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--pulses", type=int, default=1_000_000)
+    p.add_argument("--pulses", type=_count, default=1_000_000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--detector", type=int, choices=DETECTORS, default=1)
     p.add_argument("--out", required=True)

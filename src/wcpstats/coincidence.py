@@ -55,13 +55,6 @@ _SUBSET_OF_KEY = {key: w for w, (_, key) in _SUBSETS.items()}
 _NESTED_PAIRS = tuple((v, w) for w in _SUBSETS for v in _SUBSETS if v < w)
 
 
-def subsets_of_order(r: int) -> tuple[frozenset[int], ...]:
-    """All detector subsets of cardinality ``r`` (0 <= r <= 4)."""
-    if not 0 <= r <= N_DETECTORS:
-        raise ValueError(f"subset order must be in 0..{N_DETECTORS}, got {r}")
-    return _SUBSETS_BY_ORDER[r]
-
-
 def _order_average(subset_probs: Mapping[frozenset[int], float], r: int):
     """c_r: the mean of c_W over the C(4, r) subsets W of size r."""
     return sum(subset_probs[w] for w in _SUBSETS_BY_ORDER[r]) / SUBSETS_PER_ORDER[r - 1]

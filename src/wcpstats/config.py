@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fileio import json_float, json_int, json_keys, read_json
+from .fileio import json_float, json_int, json_keys, json_list, json_object, read_json
 from .optics import BeamSplitter, DetectionTree, EfficiencySet, branching_efficiencies, json_coupling
 
 DEFAULT_DETECTOR_EFFICIENCY = 0.65
@@ -84,10 +84,13 @@ def _tree_from_dict(data: dict) -> DetectionTree:
         if isinstance(entry, dict):
             ratios = json_keys(entry, ("transmittance", "reflectance"), f"geometry {key}")
             return BeamSplitter(**{name: json_float(v, f"{key} {name}") for name, v in ratios.items()})
+        if not isinstance(entry, list):
+            raise TypeError(f"geometry {key} must be a list or an object, got {entry!r}")
         return BeamSplitter(*(json_float(v, f"{key} ratio") for v in entry))
 
     json_keys(data, ("root", "transmitted", "reflected", "detector_order"), "geometry")
-    order = tuple(json_int(d, "detector_order entry") for d in data.get("detector_order", (1, 2, 3, 4)))
+    order_list = json_list(data.get("detector_order", [1, 2, 3, 4]), "detector_order")
+    order = tuple(json_int(d, "detector_order entry") for d in order_list)
     return DetectionTree(
         root=splitter("root"),
         transmitted=splitter("transmitted"),
@@ -102,7 +105,7 @@ def _efficiency_set_from_dict(data: dict) -> EfficiencySet:
         parts = [key for key in ("geometry", "eta_c", "eta_d") if key in data]
         if parts:
             raise TypeError(f"eta states the overall efficiencies and cannot be given with {', '.join(parts)}")
-        return EfficiencySet.from_overall([json_float(x, "eta entry") for x in data["eta"]])
+        return EfficiencySet.from_overall([json_float(x, "eta entry") for x in json_list(data["eta"], "eta")])
     tree = _tree_from_dict(data["geometry"]) if "geometry" in data else default_tree()
     return EfficiencySet(
         eta_b=branching_efficiencies(tree),
@@ -160,7 +163,8 @@ class RunConfig:
             kwargs["rep_rate_hz"] = json_float(data["rep_rate_hz"], "rep_rate_hz")
         kwargs["efficiency_set"] = _efficiency_set_from_dict(data)
         kwargs["sources"] = {
-            label: _source_from_dict(label, entry) for label, entry in data.get("sources", {}).items()
+            label: _source_from_dict(label, entry)
+            for label, entry in json_object(data.get("sources", {}), "sources").items()
         }
         return cls(**kwargs)
 

@@ -96,9 +96,23 @@ def json_float(value, name: str) -> float:
     return float(value)
 
 
+def json_list(value, name: str) -> list:
+    """A JSON array; any other value raises TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def json_object(value, name: str) -> dict:
+    """A JSON object; any other value raises TypeError."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def json_keys(data: dict, keys: tuple[str, ...], where: str) -> dict:
-    """``data``, once it is known to hold no key outside ``keys``."""
-    unknown = sorted(data.keys() - set(keys))
+    """``data``, once it is known to be an object that holds no key outside ``keys``."""
+    unknown = sorted(json_object(data, where).keys() - set(keys))
     if unknown:
         raise TypeError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}")
     return data

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .stats import _check_mu, normal_cdf
@@ -214,64 +215,31 @@ def pairwise_leakage(correlation: float) -> float:
     return 1.0 + 2.0 * q * math.log2(q)
 
 
-@dataclass(frozen=True)
-class LeakageReport:
-    """Overlap and leakage of one ordered-label source pair."""
-
-    source_i: str
-    source_j: str
-    correlation: float
-    info_leak: float
-
-    @property
-    def pair(self) -> str:
-        return f"{self.source_i}&{self.source_j}"
-
-
-def report_for_pair(
-    label_i: str, label_j: str, d_i: SourceDistribution, d_j: SourceDistribution
-) -> LeakageReport:
-    correlation = cross_correlation(d_i, d_j)
-    # Rounding can land a hair above 1 for near-identical inputs.
-    correlation = min(correlation, 1.0)
-    return LeakageReport(
-        source_i=label_i,
-        source_j=label_j,
-        correlation=correlation,
-        info_leak=pairwise_leakage(correlation),
-    )
-
-
-def pairwise_reports(distributions: Mapping[str, SourceDistribution]) -> list[LeakageReport]:
-    """Leakage reports for every unordered label pair, labels sorted."""
+def pairwise_reports(distributions: Mapping[str, SourceDistribution]) -> list[dict]:
+    """``{"pair": "A&B", "R": R, "I_prime": I'}`` for every unordered label pair, labels sorted."""
     labels = sorted(distributions)
     if len(labels) < 2:
         raise ValueError("need at least two sources for pairwise reports")
     reports = []
-    for a_index, label_a in enumerate(labels):
-        for label_b in labels[a_index + 1 :]:
-            reports.append(
-                report_for_pair(label_a, label_b, distributions[label_a], distributions[label_b])
-            )
+    for label_a, label_b in combinations(labels, 2):
+        # Rounding can land a hair above 1 for near-identical inputs.
+        correlation = min(cross_correlation(distributions[label_a], distributions[label_b]), 1.0)
+        reports.append({"pair": f"{label_a}&{label_b}", "R": correlation, "I_prime": pairwise_leakage(correlation)})
     return reports
 
 
 def leakage_payload(
-    reports: Sequence[LeakageReport] = (),
+    reports: Sequence[dict] = (),
     mu: float | None = None,
     mu_single: float | None = None,
     mu_rigorous: float | None = None,
     pair_r: Sequence[float] | None = None,
 ) -> dict:
-    """Leakage report: pairwise entries plus optional blocks, one ``pair_r`` entry per given R.
+    """Leakage report: the ``pairwise_reports`` entries plus optional blocks, one ``pair_r`` entry per given R.
 
     The ``estimate_gap`` block needs both ``mu_single`` and ``mu_rigorous``.
     """
-    payload: dict = {
-        "pairs": [
-            {"pair": r.pair, "R": r.correlation, "I_prime": r.info_leak} for r in reports
-        ]
-    }
+    payload: dict = {"pairs": list(reports)}
     if pair_r:
         payload["pair_r"] = [{"R": r, "I_prime": pairwise_leakage(r)} for r in pair_r]
     if mu is not None:

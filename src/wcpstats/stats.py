@@ -4,12 +4,10 @@ A strongly attenuated pulsed laser emits coherent states, so the number of
 photons per pulse is Poisson distributed and the mean photon number ``mu``
 is the single parameter that fixes the whole distribution.  This module
 collects the closed-form pieces: the Fock-basis overlap of a coherent
-state, the Poisson pmf itself, attenuation planning (choosing a neutral
-density filter to hit a target ``mu``), the multi-photon probability, and
-the two special functions the package needs (the normal CDF and the
-chi-square quantile), written with the standard library alone.  It also
-defines the errors of the estimators, so that callers can catch them
-without importing numpy.
+state, the Poisson pmf itself, and the two special functions the package
+needs (the normal CDF and the chi-square quantile), written with the
+standard library alone.  It also defines the errors of the estimators, so
+that callers can catch them without importing numpy.
 
 All functions are pure; ``chi_square_quantile`` caches its results.
 """
@@ -18,11 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-
-# CODATA 2018 defined values; both are exact by definition of the SI.
-PLANCK_CONSTANT = 6.62607015e-34  # J s
-SPEED_OF_LIGHT = 299792458.0  # m / s
 
 # Above this count the pmf is evaluated in log space to avoid overflow.
 _DIRECT_EVAL_MAX_N = 20
@@ -147,79 +140,3 @@ def coherent_fock_probability(mu: float, n: int) -> float:
         return amplitude * amplitude
     log_amplitude = -mu / 2.0 + 0.5 * n * math.log(mu) - 0.5 * math.lgamma(n + 1)
     return math.exp(2.0 * log_amplitude)
-
-
-def multi_photon_probability(mu: float) -> float:
-    """Probability that a pulse carries two or more photons.
-
-    Equals ``1 - exp(-mu) * (1 + mu)``, i.e. the Poisson tail mass above
-    n = 1.  Evaluated with ``expm1`` so the small-``mu`` limit (~ mu**2 / 2)
-    keeps full relative precision.
-    """
-    mu = _check_mu(mu)
-    return -math.expm1(-mu) - mu * math.exp(-mu)
-
-
-@dataclass(frozen=True)
-class AttenuationSpec:
-    """Source parameters ahead of the neutral-density attenuation stage.
-
-    average_power is in watts, repetition_rate in hertz, wavelength in
-    meters.  optical_density is the base-10 attenuation exponent of the
-    filter stack (0 means no attenuation).
-    """
-
-    average_power: float
-    repetition_rate: float
-    wavelength: float
-    optical_density: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("average_power", "repetition_rate", "wavelength"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not (math.isfinite(self.optical_density) and self.optical_density >= 0):
-            raise ValueError(f"optical_density must be >= 0, got {self.optical_density!r}")
-
-    @property
-    def energy_per_pulse(self) -> float:
-        """Pulse energy in joules (average power over one trigger period)."""
-        return self.average_power / self.repetition_rate
-
-    @property
-    def photons_per_pulse(self) -> float:
-        """Mean photon number before attenuation: E_pulse * lambda / (h c)."""
-        return self.energy_per_pulse * self.wavelength / (PLANCK_CONSTANT * SPEED_OF_LIGHT)
-
-
-def desired_mean_photon(spec: AttenuationSpec) -> float:
-    """Mean photon number per pulse after the neutral-density filter.
-
-    The unattenuated photon number per pulse is scaled by 10**(-OD), which
-    is taken as exact: no extra coupling loss is attributed to the filter
-    stack.
-    """
-    return spec.photons_per_pulse * 10.0 ** (-spec.optical_density)
-
-
-def attenuation_for_target(
-    average_power: float,
-    repetition_rate: float,
-    wavelength: float,
-    target_mu: float,
-) -> float:
-    """Optical density that attenuates the given source down to ``target_mu``.
-
-    Inverse of :func:`desired_mean_photon`.  Raises if the target exceeds
-    the unattenuated photon number (the filter cannot amplify).
-    """
-    if not (math.isfinite(target_mu) and target_mu > 0):
-        raise ValueError(f"target mean photon number must be > 0, got {target_mu!r}")
-    unattenuated = AttenuationSpec(average_power, repetition_rate, wavelength).photons_per_pulse
-    if target_mu > unattenuated:
-        raise ValueError(
-            f"target mu {target_mu} exceeds the unattenuated value {unattenuated:.6g}; "
-            "a neutral density filter can only attenuate"
-        )
-    return math.log10(unattenuated / target_mu)

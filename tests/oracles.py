@@ -23,17 +23,26 @@ def poisson_term(mu: float, n: int) -> float:
     return math.exp(-mu) * mu**n / math.factorial(n)
 
 
-def info_leakage_series(mu: float) -> float:
-    """sum_{n>=2} p_n / 2^n for mu > 0, with each term e^{-mu} (mu/2)^n / n! taken in log space.
+def _tail_from_two(mu: float, x: float) -> float:
+    """sum_{n>=2} e^{-mu} x^n / n! for x > 0, with each term taken in log space.
 
-    The terms peak near n = mu/2 and are summed with math.fsum relative to
+    The terms peak near n = x and are summed with math.fsum relative to
     the largest, so nothing overflows or underflows before the final exp:
     the result is 0.0 only where the true value underflows.
     """
-    x = mu / 2.0
     logs = [n * math.log(x) - math.lgamma(n + 1) - mu for n in range(2, int(x + 40.0 * math.sqrt(x)) + 60)]
     top = max(logs)
     return math.exp(top + math.log(math.fsum(math.exp(t - top) for t in logs)))
+
+
+def info_leakage_series(mu: float) -> float:
+    """sum_{n>=2} p_n / 2^n for mu > 0: the terms e^{-mu} (mu/2)^n / n!."""
+    return _tail_from_two(mu, mu / 2.0)
+
+
+def multi_photon_series(mu: float) -> float:
+    """P(n >= 2) of a Poisson pulse of mean mu > 0: the terms e^{-mu} mu^n / n!."""
+    return _tail_from_two(mu, mu)
 
 
 def routing_subset_probabilities(n: int, eta) -> dict[frozenset[int], float]:

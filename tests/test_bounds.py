@@ -133,7 +133,8 @@ def test_sandwich_with_nonuniform_efficiencies():
     summary = model_summary(0.5, TABLE_ETA, 10**12)
     bounds = photon_number_bounds(summary, TABLE_ETA)
     truths = _poisson_truths(0.5)
-    assert bounds.contains(truths)
+    for k in range(5):
+        assert bounds.lower[k] <= truths[k] <= bounds.upper[k]
 
 
 def test_tail_upper_bound_is_plain_copy():

@@ -886,6 +886,13 @@ SUMMARY_ARGV = ["bounds", "--summary", "{path}", "--out", "{out}"]
         ([0.1, 0.1, 0.1, 0.1], BOUNDS_CONFIG_ARGV, "run config"),
         ({"eta": [0.1] * 4, "geometry": {"root": [0.5, 0.4], "transmitted": [0.5, 0.4], "reflected": [0.5, 0.4]}},
          ESTIMATE_CONFIG_ARGV, "run config"),
+        ({"eta": 0.5}, BOUNDS_CONFIG_ARGV, "run config: eta must be a list, got 0.5"),
+        ({"eta": None}, BOUNDS_CONFIG_ARGV, "run config: eta must be a list, got None"),
+        ({"geometry": {"root": 0.5, "transmitted": [0.5, 0.4], "reflected": [0.5, 0.4]}}, SIMULATE_CONFIG_ARGV,
+         "run config: geometry root must be a list or an object, got 0.5"),
+        ({"geometry": {"root": [0.5, 0.4], "transmitted": [0.5, 0.4], "reflected": [0.5, 0.4], "detector_order": 3}},
+         SIMULATE_CONFIG_ARGV, "run config: detector_order must be a list, got 3"),
+        ({"sources": []}, SIMULATE_CONFIG_ARGV, "run config: sources must be an object, got []"),
     ],
     ids=["list-histogram", "bool-histogram-total", "list-config", "scalar-source", "list-geometry", "fractional-pulses",
          "fractional-seed", "bool-pulses", "unknown-key", "unknown-source-key",
@@ -895,7 +902,8 @@ SUMMARY_ARGV = ["bounds", "--summary", "{path}", "--out", "{out}"]
          "estimate-bool-eta-entry", "estimate-string-eta_d", "string-subset-prob", "bool-order-prob",
          "letter-subset-key", "empty-field-subset-key", "subset-spelled-twice", "summary-without-orders",
          "summary-without-subset", "histogram-without-counts", "histogram-without-total", "source-without-mu",
-         "geometry-without-root", "list-efficiency", "eta-with-geometry"],
+         "geometry-without-root", "list-efficiency", "eta-with-geometry", "scalar-eta", "null-eta",
+         "scalar-splitter", "scalar-detector-order", "list-sources"],
 )
 def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message):
     path = tmp_path / "input.json"
@@ -904,7 +912,9 @@ def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message
     summary.write_text(json.dumps(SUMMARY))
     out = tmp_path / "out.json"
     assert run([a.format(path=path, summary=summary, out=out) for a in argv]) == 1
-    assert capsys.readouterr().err.startswith(f"error: malformed {message}: ")
+    # A message may go on past the file kind, to the reason the error must give.
+    what, _, reason = message.partition(": ")
+    assert capsys.readouterr().err.startswith(f"error: malformed {what}: {reason}")
     assert not out.exists()
 
 
@@ -975,20 +985,45 @@ def test_repeated_label_or_mu_exits_one(tmp_path, capsys, argv, repeat):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["estimate", "--summary", "{summary}", "--detector", "0"],
-        ["fluct", "--mu-list", "0.2,0.4", "--detector", "5"],
-        ["sweep", "--detector", "7", "--out", "{out}"],
+        (["estimate", "--summary", "{summary}", "--detector", "0"], "argument --detector: invalid choice"),
+        (["fluct", "--mu-list", "0.2,0.4", "--detector", "5"], "argument --detector: invalid choice"),
+        (["sweep", "--detector", "7", "--out", "{out}"], "argument --detector: invalid choice"),
+        (["simulate", "--pulses", "0", "--out-histogram", "{out}"], "argument --pulses: must be > 0, got 0"),
+        (["coincidence", "--timestamps", "{csv}", "--pulses", "0", "--out", "{out}"],
+         "argument --pulses: must be > 0, got 0"),
+        (["fluct", "--mu-list", "0.2,0.4", "--pulses-per-cycle", "0"],
+         "argument --pulses-per-cycle: must be > 0, got 0"),
+        (["sweep", "--pulses", "0", "--out", "{out}"], "argument --pulses: must be > 0, got 0"),
     ],
-    ids=["estimate", "fluct", "sweep"],
+    ids=["estimate", "fluct", "sweep", "simulate-pulses", "coincidence-pulses", "fluct-pulses-per-cycle",
+         "sweep-pulses"],
 )
-def test_detector_outside_one_to_four_is_usage_error(tmp_path, capsys, argv):
-    summary = tmp_path / "summary.json"
+def test_detector_outside_one_to_four_is_usage_error(tmp_path, capsys, argv, message):
+    # A count flag <= 0 is a usage error too, named as typed like --detector.
+    summary, csv = tmp_path / "summary.json", tmp_path / "stamps.csv"
     summary.write_text(json.dumps(SUMMARY))
+    csv.write_text("channel,time_ps\n1,100\n")
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
-        run([a.format(summary=summary, out=out) for a in argv])
+        run([a.format(summary=summary, csv=csv, out=out) for a in argv])
     assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [(None, "No such file"), ('{"pulses": 5,}', "malformed JSON: "), ('{"bogus": 1}', "malformed run config: ")],
+    ids=["missing", "syntax-error", "unknown-key"],
+)
+def test_coincidence_histogram_reads_its_config(tmp_path, capsys, config, message):
+    hist_path, config_path, out = tmp_path / "hist.json", tmp_path / "run.json", tmp_path / "summary.json"
+    hist_path.write_text(json.dumps({"total_pulses": 10, "counts": [9, 1] + [0] * 14}))
+    if config is not None:
+        config_path.write_text(config)
+    assert run(["coincidence", "--histogram", hist_path, "--config", config_path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not out.exists()

@@ -22,7 +22,6 @@ from wcpstats.coincidence import (
     read_histogram_json,
     read_summary_json,
     read_timestamps_csv,
-    subsets_of_order,
     write_histogram_json,
     write_summary_json,
     write_timestamps_csv,
@@ -115,7 +114,7 @@ def test_subset_monotonicity_for_random_histograms():
         orders = summary.order_probs
         assert all(b <= a + 1e-12 for a, b in zip(orders, orders[1:]))
         for r in (1, 2, 3, 4):
-            mean = math.fsum(summary.subset_probs[w] for w in subsets_of_order(r)) / comb(4, r)
+            mean = math.fsum(summary.subset_probs[frozenset(w)] for w in combinations((1, 2, 3, 4), r)) / comb(4, r)
             assert summary.order_probs[r - 1] == pytest.approx(mean, abs=1e-12)
 
 
@@ -152,10 +151,9 @@ def test_summary_validation_checks_every_nested_pair():
     p, step = 0.5, 0.9e-12
     raised = {frozenset({1, 2}): p + step, frozenset({1, 3}): p + step, frozenset({2, 3}): p + step,
               frozenset({1, 2, 3}): p + 2 * step}
-    subset_probs = {w: raised.get(w, p) for r in (1, 2, 3, 4) for w in subsets_of_order(r)}
-    order_probs = tuple(
-        math.fsum(subset_probs[w] for w in subsets_of_order(r)) / comb(4, r) for r in (1, 2, 3, 4)
-    )
+    by_order = {r: [frozenset(w) for w in combinations((1, 2, 3, 4), r)] for r in (1, 2, 3, 4)}
+    subset_probs = {w: raised.get(w, p) for r in (1, 2, 3, 4) for w in by_order[r]}
+    order_probs = tuple(math.fsum(subset_probs[w] for w in by_order[r]) / comb(4, r) for r in (1, 2, 3, 4))
     with pytest.raises(ValueError, match="monotonicity violated"):
         CoincidenceSummary(subset_probs=subset_probs, order_probs=order_probs, total_pulses=1000)
 

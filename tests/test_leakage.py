@@ -20,15 +20,14 @@ from wcpstats.leakage import (
     leakage_payload,
     pairwise_leakage,
     pairwise_reports,
-    report_for_pair,
     source_distribution_at,
 )
-from wcpstats.stats import multi_photon_probability
 
 from oracles import (
     gaussian_overlap_closed_form,
     info_leakage_series,
     lstsq_line_fit,
+    multi_photon_series,
     normal_cdf,
     poisson_term,
     truncated_overlap_quad,
@@ -74,7 +73,7 @@ def test_info_leakage_matches_log_space_series_from_1e_4_to_1e4():
 
 def test_info_leakage_below_multi_photon_probability():
     for mu in np.linspace(0.05, 3.0, 30):
-        assert 0.0 < info_leakage(mu) < multi_photon_probability(mu)
+        assert 0.0 < info_leakage(mu) < multi_photon_series(mu)
 
 
 def test_leakage_difference_signs():
@@ -246,10 +245,10 @@ def test_pairwise_leakage_limits_and_monotonicity():
 
 def test_report_for_identical_pair_leaks_nothing():
     dist = SourceDistribution(mean=60.0, sigma=5.0)
-    report = report_for_pair("S1", "S2", dist, dist)
-    assert report.pair == "S1&S2"
-    assert report.correlation == pytest.approx(1.0, abs=1e-9)
-    assert report.info_leak == pytest.approx(0.0, abs=1e-8)
+    (report,) = pairwise_reports({"S1": dist, "S2": dist})
+    assert report["pair"] == "S1&S2"
+    assert report["R"] == pytest.approx(1.0, abs=1e-9)
+    assert report["I_prime"] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_pairwise_reports_cover_all_pairs():
@@ -260,7 +259,7 @@ def test_pairwise_reports_cover_all_pairs():
         "S4": SourceDistribution(mean=60.5, sigma=5.2),
     }
     reports = pairwise_reports(distributions)
-    assert [r.pair for r in reports] == [
+    assert [r["pair"] for r in reports] == [
         "S1&S2",
         "S1&S3",
         "S1&S4",
@@ -269,8 +268,8 @@ def test_pairwise_reports_cover_all_pairs():
         "S3&S4",
     ]
     for report in reports:
-        assert 0.0 <= report.correlation <= 1.0
-        assert report.info_leak >= 0.0
+        assert 0.0 <= report["R"] <= 1.0
+        assert report["I_prime"] >= 0.0
 
 
 def test_leakage_report_json():

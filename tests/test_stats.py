@@ -6,18 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import chdtri, ndtr
 
-from wcpstats.stats import (
-    PLANCK_CONSTANT,
-    SPEED_OF_LIGHT,
-    AttenuationSpec,
-    attenuation_for_target,
-    chi_square_quantile,
-    coherent_fock_probability,
-    desired_mean_photon,
-    multi_photon_probability,
-    normal_cdf,
-    poisson_pmf,
-)
+from wcpstats.stats import chi_square_quantile, coherent_fock_probability, normal_cdf, poisson_pmf
 
 from oracles import poisson_term
 
@@ -73,55 +62,6 @@ def test_rejects_bad_inputs(func):
         func(0.5, -1)
     with pytest.raises(ValueError):
         func(0.5, 1.5)
-
-
-def test_multi_photon_probability_matches_series():
-    series = math.fsum(poisson_term(0.5, n) for n in range(2, 61))
-    assert multi_photon_probability(0.5) == pytest.approx(series, abs=1e-12)
-    assert multi_photon_probability(0.0) == 0.0
-
-
-def test_multi_photon_monotone_and_complementary():
-    grid = [0.1 * k for k in range(1, 21)]
-    values = [multi_photon_probability(mu) for mu in grid]
-    assert all(b > a for a, b in zip(values, values[1:]))
-    for mu in grid:
-        total = multi_photon_probability(mu) + poisson_pmf(mu, 0) + poisson_pmf(mu, 1)
-        assert abs(total - 1.0) <= 1e-12
-
-
-def test_desired_mean_photon_without_filter():
-    spec = AttenuationSpec(average_power=1e-3, repetition_rate=1.25e6, wavelength=808e-9)
-    expected = (1e-3 / 1.25e6) * 808e-9 / (PLANCK_CONSTANT * SPEED_OF_LIGHT)
-    assert desired_mean_photon(spec) == pytest.approx(expected, rel=1e-15)
-
-
-def test_desired_mean_photon_linear_in_power():
-    base = AttenuationSpec(1e-3, 1.25e6, 808e-9, optical_density=6.0)
-    doubled = AttenuationSpec(2e-3, 1.25e6, 808e-9, optical_density=6.0)
-    assert desired_mean_photon(doubled) == pytest.approx(2 * desired_mean_photon(base), rel=1e-12)
-
-
-def test_attenuation_round_trip():
-    od = attenuation_for_target(1e-3, 1.25e6, 808e-9, target_mu=0.5)
-    spec = AttenuationSpec(1e-3, 1.25e6, 808e-9, optical_density=od)
-    assert desired_mean_photon(spec) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_attenuation_rejects_impossible_target():
-    with pytest.raises(ValueError):
-        attenuation_for_target(1e-12, 1.25e6, 808e-9, target_mu=1e12)
-    with pytest.raises(ValueError):
-        attenuation_for_target(1e-3, 1.25e6, 808e-9, target_mu=0.0)
-
-
-def test_attenuation_spec_validation():
-    with pytest.raises(ValueError):
-        AttenuationSpec(0.0, 1.25e6, 808e-9)
-    with pytest.raises(ValueError):
-        AttenuationSpec(1e-3, 0.0, 808e-9)
-    with pytest.raises(ValueError):
-        AttenuationSpec(1e-3, 1.25e6, 808e-9, optical_density=-1.0)
 
 
 @pytest.mark.parametrize("dof", [1, 2, 3])

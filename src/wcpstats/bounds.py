@@ -30,32 +30,27 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Mapping, Sequence
+from collections import namedtuple
 
 from .coincidence import ORDERS, CoincidenceSummary
 from .fileio import write_json_atomic
 from .optics import N_DETECTORS, subset_product_means, validate_efficiencies
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
+    from typing import Sequence
+
 BOUND_LABELS = ("0", "1", "2", "3", "ge4")
 _XI_INDICES = tuple((i, j) for i in range(2, N_DETECTORS + 1) for j in range(1, i))
 
 
-@dataclass(frozen=True)
-class ShapeFactors:
-    """Subset-product moments of the efficiency vector and their xi ratios.
+ShapeFactors = namedtuple("ShapeFactors", "s xi")
+ShapeFactors.__doc__ = """Subset-product moments of the efficiency vector and their xi ratios.
 
-    ``s[j-1]`` holds s_j for j = 1..4 (s_1 is the mean efficiency) and
-    ``xi[(i, j)]`` holds xi_{i,j} for i = 2..4, j = 1..i-1.
-    """
-
-    s: tuple[float, float, float, float]
-    xi: Mapping[tuple[int, int], float]
-
-    def __post_init__(self) -> None:
-        if set(self.xi) != set(_XI_INDICES):
-            raise ValueError(f"xi must hold exactly the index pairs {list(_XI_INDICES)}")
+``s[j-1]`` holds s_j for j = 1..4 (s_1 is the mean efficiency) and
+``xi[(i, j)]`` holds xi_{i,j} for i = 2..4, j = 1..i-1.
+"""
 
 
 def shape_factors(eta: Sequence[float]) -> ShapeFactors:
@@ -89,12 +84,10 @@ def normalized_coincidences(
     )
 
 
-@dataclass(frozen=True)
-class PhotonNumberBounds:
+class PhotonNumberBounds(namedtuple("PhotonNumberBounds", "lower upper")):
     """Lower/upper limits on p_0..p_3 and the >=4 tail, in that order."""
 
-    lower: tuple[float, float, float, float, float]
-    upper: tuple[float, float, float, float, float]
+    __slots__ = ()
 
     def clipped(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Raw intervals intersected with [0, 1] for reporting."""

@@ -144,12 +144,7 @@ def cmd_estimate(args) -> int:
         # Too few counts for a verdict leaves the fit standing.
         print(f"warning: no Poissonity verdict: {exc}", file=sys.stderr)
     else:
-        result["poissonity"] = {
-            "statistic": check.statistic,
-            "dof": check.dof,
-            "threshold": check.threshold,
-            "passed": check.passed,
-        }
+        result["poissonity"] = {key: value for key, value in check._asdict().items() if key != "orders_used"}
     if args.out:
         write_json_atomic(_out_path(args.out), result)
     print(f"estimate: mu_single={single.mu_hat:.6f}, mu_rigorous={rigorous.mu_hat:.6f}")
@@ -169,17 +164,26 @@ def cmd_bounds(args) -> int:
     print(
         "bounds: " + ", ".join(f"p{label} in [{l:.4g}, {u:.4g}]" for label, l, u in zip(("0", "1", "2", "3", ">=4"), lo, hi))
     )
+    if summary.order_probs[3] == 0.0:
+        # Each lower formula differs from its upper one only in its c_4 term.
+        print(
+            "warning: no four-fold coincidence was observed (c4=0), so every interval has zero width; "
+            "sampling noise can place these points beside the true p_n",
+            file=sys.stderr,
+        )
     return 0
 
 
 def _count(text: str) -> int:
-    """An argparse type for a count flag, which must be > 0, so that a usage error names the flag."""
+    """An argparse type for a count flag, which must be > 0 and fit in int64, so that a usage error names the flag."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if value >= 2**63:
+        raise argparse.ArgumentTypeError(f"must be below 2**63, got {value}")
     return value
 
 

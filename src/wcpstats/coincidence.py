@@ -19,15 +19,17 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .fileio import json_float, json_int, json_keys, read_int_csv, read_json, write_int_csv, write_json_atomic
 from .optics import N_DETECTORS, SUBSETS_PER_ORDER, subset_product_means, validate_efficiencies
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from pathlib import Path
+    from typing import Iterable, Mapping, Sequence
+
     import numpy as np
 
 DETECTORS = tuple(range(1, N_DETECTORS + 1))
@@ -60,26 +62,30 @@ def _order_average(subset_probs: Mapping[frozenset[int], float], r: int):
     return sum(subset_probs[w] for w in _SUBSETS_BY_ORDER[r]) / SUBSETS_PER_ORDER[r - 1]
 
 
-@dataclass(frozen=True)
 class PatternHistogram:
     """Counts of the 16 click patterns over a run of trigger periods."""
 
-    counts: tuple[int, ...]
-    total_pulses: int
+    __slots__ = ("counts", "total_pulses")
 
-    def __post_init__(self) -> None:
+    def __init__(self, counts: Sequence[int], total_pulses: int) -> None:
         try:
-            object.__setattr__(self, "counts", tuple(operator.index(c) for c in self.counts))
+            self.counts = tuple(operator.index(c) for c in counts)
         except TypeError:
-            raise ValueError(f"need {N_PATTERNS} integer pattern counts, got {self.counts!r}") from None
+            raise ValueError(f"need {N_PATTERNS} integer pattern counts, got {counts!r}") from None
         if len(self.counts) != N_PATTERNS:
             raise ValueError(f"need {N_PATTERNS} pattern counts, got {len(self.counts)}")
         if any(c < 0 for c in self.counts):
             raise ValueError("pattern counts must be >= 0")
-        if sum(self.counts) != self.total_pulses:
+        if sum(self.counts) != total_pulses:
             raise ValueError(
-                f"pattern counts sum to {sum(self.counts)}, expected {self.total_pulses}"
+                f"pattern counts sum to {sum(self.counts)}, expected {total_pulses}"
             )
+        self.total_pulses = total_pulses
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PatternHistogram):
+            return NotImplemented
+        return self.counts == other.counts and self.total_pulses == other.total_pulses
 
     def to_dict(self) -> dict:
         return {"total_pulses": self.total_pulses, "counts": list(self.counts)}
@@ -87,21 +93,16 @@ class PatternHistogram:
     @classmethod
     def from_dict(cls, data: Mapping) -> "PatternHistogram":
         counts = data["counts"]
-        # Counts that are not a list reach __post_init__, which rejects them.
+        # Counts that are not a list reach __init__, which rejects them.
         if isinstance(counts, list):
             counts = [json_int(c, "pattern counts entry") for c in counts]
         return cls(counts=counts, total_pulses=json_int(data["total_pulses"], "total_pulses"))
 
 
-@dataclass(frozen=True)
-class BinningResult:
-    """Histogram from timestamp binning plus the number of rejected records."""
-
-    histogram: PatternHistogram
-    discarded: int
+BinningResult = namedtuple("BinningResult", "histogram discarded")
+BinningResult.__doc__ = "Histogram from timestamp binning plus the number of rejected records."
 
 
-@dataclass(frozen=True)
 class CoincidenceSummary:
     """Observed subset and order-averaged coincidence probabilities.
 
@@ -111,34 +112,37 @@ class CoincidenceSummary:
     C(4, r) subsets of size r.
     """
 
-    subset_probs: Mapping[frozenset[int], float]
-    order_probs: tuple[float, float, float, float]
-    total_pulses: int
+    __slots__ = ("subset_probs", "order_probs", "total_pulses")
 
-    def __post_init__(self) -> None:
-        if self.total_pulses <= 0:
-            raise ValueError(f"total_pulses must be > 0, got {self.total_pulses}")
-        if self.subset_probs.keys() != _SUBSETS.keys():
+    def __init__(
+        self, subset_probs: Mapping[frozenset[int], float], order_probs: Sequence[float], total_pulses: int
+    ) -> None:
+        if total_pulses <= 0:
+            raise ValueError(f"total_pulses must be > 0, got {total_pulses}")
+        if subset_probs.keys() != _SUBSETS.keys():
             raise ValueError("subset_probs must cover every nonempty detector subset")
-        for w, p in self.subset_probs.items():
+        for w, p in subset_probs.items():
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"probability for subset {sorted(w)} out of range: {p!r}")
-        if len(self.order_probs) != len(ORDERS):
-            raise ValueError(f"need {len(ORDERS)} order probabilities, got {len(self.order_probs)}")
-        for k, p in enumerate(self.order_probs):
+        if len(order_probs) != len(ORDERS):
+            raise ValueError(f"need {len(ORDERS)} order probabilities, got {len(order_probs)}")
+        for k, p in enumerate(order_probs):
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"order_probs[{k}] out of range: {p!r}")
         # Supersets can only lose pulses: V subset of W implies c_W <= c_V.
         for v, w in _NESTED_PAIRS:
-            if self.subset_probs[w] > self.subset_probs[v] + _CONSISTENCY_TOL:
+            if subset_probs[w] > subset_probs[v] + _CONSISTENCY_TOL:
                 raise ValueError(f"monotonicity violated: c_{sorted(w)} > c_{sorted(v)}")
         for r in ORDERS:
-            mean = _order_average(self.subset_probs, r)
-            if abs(mean - self.order_probs[r - 1]) > _CONSISTENCY_TOL:
+            mean = _order_average(subset_probs, r)
+            if abs(mean - order_probs[r - 1]) > _CONSISTENCY_TOL:
                 raise ValueError(f"order_probs[{r - 1}] inconsistent with subset averages")
         for r in (2, 3, 4):
-            if self.order_probs[r - 1] > self.order_probs[r - 2] + _CONSISTENCY_TOL:
+            if order_probs[r - 1] > order_probs[r - 2] + _CONSISTENCY_TOL:
                 raise ValueError("order-averaged probabilities must be non-increasing in r")
+        self.subset_probs = subset_probs
+        self.order_probs = order_probs
+        self.total_pulses = total_pulses
 
     def to_dict(self) -> dict:
         return {

@@ -10,7 +10,6 @@ folds any coupling loss into the detector factor a user supplies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .fileio import json_float, json_int, json_keys, json_list, json_object, read_json
 from .optics import BeamSplitter, DetectionTree, EfficiencySet, branching_efficiencies, json_coupling
@@ -31,39 +30,40 @@ DEFAULT_SPLITTERS = {
 }
 
 
-@dataclass(frozen=True)
 class FluctuationModel:
     """Linear intensity-fluctuation model: sigma(mu) = slope * mu + intercept."""
 
-    slope: float = 0.0
-    intercept: float = 0.0
+    __slots__ = ("slope", "intercept")
 
-    def __post_init__(self) -> None:
-        for name in ("slope", "intercept"):
-            value = getattr(self, name)
+    def __init__(self, slope: float = 0.0, intercept: float = 0.0) -> None:
+        for name, value in (("slope", slope), ("intercept", intercept)):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        self.slope = slope
+        self.intercept = intercept
 
     def sigma(self, mu: float) -> float:
         return self.slope * mu + self.intercept
 
 
-@dataclass(frozen=True)
 class SourceModel:
     """One polarization source: label, nominal mean photon number, noise model."""
 
-    label: str
-    mu: float
-    fluctuation: FluctuationModel = field(default_factory=FluctuationModel)
-    dark_rate: float = 0.0
+    __slots__ = ("label", "mu", "fluctuation", "dark_rate")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ValueError(f"mu must be > 0, got {self.mu!r}")
-        if not (0.0 <= self.dark_rate <= _MAX_DARK_RATE):
+    def __init__(
+        self, label: str, mu: float, fluctuation: FluctuationModel | None = None, dark_rate: float = 0.0
+    ) -> None:
+        if not (math.isfinite(mu) and mu > 0.0):
+            raise ValueError(f"mu must be > 0, got {mu!r}")
+        if not (0.0 <= dark_rate <= _MAX_DARK_RATE):
             raise ValueError(
-                f"dark_rate must be in [0, {_MAX_DARK_RATE}], got {self.dark_rate!r}"
+                f"dark_rate must be in [0, {_MAX_DARK_RATE}], got {dark_rate!r}"
             )
+        self.label = label
+        self.mu = mu
+        self.fluctuation = FluctuationModel() if fluctuation is None else fluctuation
+        self.dark_rate = dark_rate
 
 
 def default_tree() -> DetectionTree:
@@ -86,6 +86,8 @@ def _tree_from_dict(data: dict) -> DetectionTree:
             return BeamSplitter(**{name: json_float(v, f"{key} {name}") for name, v in ratios.items()})
         if not isinstance(entry, list):
             raise TypeError(f"geometry {key} must be a list or an object, got {entry!r}")
+        if len(entry) != 2:
+            raise TypeError(f"geometry {key} must hold 2 ratios, got {entry!r}")
         return BeamSplitter(*(json_float(v, f"{key} ratio") for v in entry))
 
     json_keys(data, ("root", "transmitted", "reflected", "detector_order"), "geometry")
@@ -121,7 +123,6 @@ def _source_from_dict(label: str, entry: dict) -> SourceModel:
     return SourceModel(label, json_float(entry["mu"], "mu"), fluctuation, floats["dark_rate"])
 
 
-@dataclass
 class RunConfig:
     """Validated bundle of efficiencies, trigger rate and source models.
 
@@ -130,19 +131,24 @@ class RunConfig:
     built once, into the one :class:`EfficiencySet` every command reads.
     """
 
-    efficiency_set: EfficiencySet = field(default_factory=default_efficiency_set)
-    rep_rate_hz: float = DEFAULT_REP_RATE_HZ
-    sources: dict[str, SourceModel] = field(default_factory=dict)
-    pulses: int = 1_000_000
-    seed: int = 1
+    __slots__ = ("efficiency_set", "rep_rate_hz", "sources", "pulses", "seed")
 
-    def __post_init__(self) -> None:
-        if not (self.rep_rate_hz > 0 and math.isfinite(1e12 / self.rep_rate_hz) and self.rep_period_ps >= 1):
+    def __init__(
+        self, efficiency_set: EfficiencySet | None = None, rep_rate_hz: float = DEFAULT_REP_RATE_HZ,
+        sources: dict[str, SourceModel] | None = None, pulses: int = 1_000_000, seed: int = 1,
+    ) -> None:
+        self.efficiency_set = default_efficiency_set() if efficiency_set is None else efficiency_set
+        self.rep_rate_hz = rep_rate_hz
+        self.sources = {} if sources is None else sources
+        self.pulses = pulses
+        self.seed = seed
+        if not (rep_rate_hz > 0 and math.isfinite(1e12 / rep_rate_hz) and self.rep_period_ps >= 1):
             raise ValueError(
-                f"rep_rate_hz must be > 0 with a finite trigger period of at least 1 ps, got {self.rep_rate_hz!r}"
+                f"rep_rate_hz must be > 0 with a finite trigger period of at least 1 ps, got {rep_rate_hz!r}"
             )
-        if self.pulses <= 0:
-            raise ValueError(f"pulses must be > 0, got {self.pulses}")
+        # numpy's samplers take a pulse count as an int64.
+        if not 0 < pulses < 2**63:
+            raise ValueError(f"pulses must be in 1..2**63 - 1, got {pulses}")
 
     @property
     def rep_period_ps(self) -> int:

@@ -11,14 +11,17 @@ least squares over all coincidence orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
+from collections import namedtuple
 
 from .coincidence import ORDERS, CoincidenceSummary, observed_coincidences, poisson_coincidence_model
 from .fileio import write_text_atomic
 from .optics import N_DETECTORS, SUBSETS_PER_ORDER, EfficiencySet, subset_product_means, validate_efficiencies
 from .stats import ConvergenceError, InsufficientDataError, _check_seed, chi_square_quantile
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
+    from typing import Sequence
 
 # The estimator's range of mu, spanned by a geometric scan of _SCAN_POINTS
 # points that brackets the minimiser.
@@ -39,21 +42,8 @@ _SLOPE_STEP = 1e-100
 _POISSONITY_PERCENTILE = 0.99
 
 
-@dataclass(frozen=True)
-class MuEstimate:
-    """An estimated mean photon number, with the fit's misfit and standard error where it has them."""
-
-    mu_hat: float
-    residual: float = 0.0
-    std_error: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.mu_hat < 0.0 or not math.isfinite(self.mu_hat):
-            raise ValueError(f"mu_hat must be finite and >= 0, got {self.mu_hat!r}")
-        if self.residual < 0.0:
-            raise ValueError(f"residual must be >= 0, got {self.residual!r}")
-        if self.std_error is not None and not self.std_error >= 0.0:
-            raise ValueError(f"std_error must be >= 0, got {self.std_error!r}")
+MuEstimate = namedtuple("MuEstimate", "mu_hat residual std_error", defaults=(0.0, None))
+MuEstimate.__doc__ = "An estimated mean photon number, with the fit's misfit and standard error where it has them."
 
 
 def estimate_mu_single(
@@ -72,7 +62,10 @@ def estimate_mu_single(
         raise ValueError(f"rep_rate must be > 0, got {rep_rate!r}")
     if not (math.isfinite(eta_overall) and 0.0 < eta_overall <= 1.0):
         raise ValueError(f"eta_overall must be in (0, 1], got {eta_overall!r}")
-    return MuEstimate(mu_hat=counts_per_second / (rep_rate * eta_overall))
+    mu = counts_per_second / (rep_rate * eta_overall)
+    if not math.isfinite(mu):
+        raise ValueError(f"mu estimate {counts_per_second!r} / ({rep_rate!r} * {eta_overall!r}) overflows")
+    return MuEstimate(mu_hat=mu)
 
 
 def intensity_from_counts(counts, n_pulses: int, eta_overall: float):
@@ -204,15 +197,8 @@ def _score_variance(g: Sequence[float], c: Sequence[float]) -> float:
     return max(math.fsum(terms), 0.0)
 
 
-@dataclass(frozen=True)
-class PoissonityResult:
-    """Goodness-of-fit of observed coincidences against the Poisson model."""
-
-    statistic: float
-    dof: int
-    threshold: float
-    passed: bool
-    orders_used: tuple[int, ...]
+PoissonityResult = namedtuple("PoissonityResult", "statistic dof threshold passed orders_used")
+PoissonityResult.__doc__ = "Goodness-of-fit of observed coincidences against the Poisson model."
 
 
 def poissonity_test(
@@ -255,18 +241,8 @@ def poissonity_test(
     )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point of the method-comparison sweep (deltas = rigorous - single)."""
-
-    mu_true: float
-    mu_method1: float
-    mu_method2: float
-    delta_mu: float
-    residual: float
-    pulses: int
-    seed: int
-    delta_I: float
+SweepPoint = namedtuple("SweepPoint", "mu_true mu_method1 mu_method2 delta_mu residual pulses seed delta_I")
+SweepPoint.__doc__ = "One grid point of the method-comparison sweep (deltas = rigorous - single), in CSV column order."
 
 
 def point_seed(seed: int, index: int) -> int:
@@ -320,13 +296,9 @@ def method_difference_sweep(
     return rows
 
 
-_SWEEP_COLUMNS = ("mu_true", "mu_method1", "mu_method2", "delta_mu", "residual", "pulses", "seed", "delta_I")
-
-
 def write_sweep_csv(path: str | Path, rows: Sequence[SweepPoint]) -> None:
     """Sweep results as CSV, one row per grid point."""
-    lines = [",".join(_SWEEP_COLUMNS)]
+    lines = [",".join(SweepPoint._fields)]
     for row in rows:
-        values = (getattr(row, column) for column in _SWEEP_COLUMNS)
-        lines.append(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in values))
+        lines.append(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row))
     write_text_atomic(path, "\n".join(lines) + "\n")

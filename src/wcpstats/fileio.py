@@ -13,8 +13,8 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -90,10 +90,14 @@ def json_int(value, name: str) -> int:
 
 
 def json_float(value, name: str) -> float:
-    """A JSON number as a float; a bool or a string raises TypeError."""
+    """A JSON number as a float; a bool, a string or an integer beyond the float range raises TypeError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise TypeError(f"{name} must be a number within the float range, got an integer of {digits} digits") from None
 
 
 def json_list(value, name: str) -> list:

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
-from typing import Mapping, Sequence
 
 from .stats import _check_mu, normal_cdf
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Mapping, Sequence
 
 
 # Up to this mu, e^{-mu} is a normal float and loses no precision to underflow.
@@ -56,38 +59,20 @@ def leakage_difference(mu_rigorous: float, mu_single: float) -> float:
     return info_leakage(_check_mu(mu_rigorous)) - info_leakage(_check_mu(mu_single))
 
 
-@dataclass(frozen=True)
-class FitPoint:
-    """One fluctuation measurement: mu, sample spread, and fit residual."""
-
-    mu: float
-    sigma: float
-    residual: float
+FitPoint = namedtuple("FitPoint", "mu sigma residual")
+FitPoint.__doc__ = "One fluctuation measurement: mu, sample spread, and fit residual."
 
 
-@dataclass(frozen=True)
-class FluctuationFit:
+class FluctuationFit(namedtuple("FluctuationFit", "slope intercept points slope_se intercept_se")):
     """Least-squares line sigma(mu) = slope * mu + intercept through the data."""
 
-    slope: float
-    intercept: float
-    points: tuple[FitPoint, ...]
-    slope_se: float | None
-    intercept_se: float | None
+    __slots__ = ()
 
     def sigma(self, mu: float) -> float:
         return self.slope * mu + self.intercept
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "slope_se": self.slope_se,
-            "intercept_se": self.intercept_se,
-            "points": [
-                {"mu": p.mu, "sigma": p.sigma, "residual": p.residual} for p in self.points
-            ],
-        }
+        return {**self._asdict(), "points": [p._asdict() for p in self.points]}
 
 
 def fit_fluctuation(series_per_mu: Mapping[float, Sequence[float]]) -> FluctuationFit:
@@ -122,15 +107,12 @@ def fit_fluctuation(series_per_mu: Mapping[float, Sequence[float]]) -> Fluctuati
         variance = math.fsum(r * r for r in residuals) / (n - 2)
         slope_se = math.sqrt(variance / s_xx)
         intercept_se = math.sqrt(variance * (1.0 / n + mu_bar**2 / s_xx))
-    points = tuple(
-        FitPoint(mu=m, sigma=s, residual=r) for m, s, r in zip(mus, sigmas, residuals)
-    )
+    points = tuple(map(FitPoint, mus, sigmas, residuals))
     return FluctuationFit(
         slope=slope, intercept=intercept, points=points, slope_se=slope_se, intercept_se=intercept_se
     )
 
 
-@dataclass(frozen=True)
 class SourceDistribution:
     """Zero-truncated Gaussian count distribution of one source.
 
@@ -139,14 +121,15 @@ class SourceDistribution:
     together they account for all the probability.
     """
 
-    mean: float
-    sigma: float
+    __slots__ = ("mean", "sigma")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be > 0, got {self.sigma!r}")
-        if not (math.isfinite(self.mean) and self.mean >= 0.0):
-            raise ValueError(f"mean must be >= 0, got {self.mean!r}")
+    def __init__(self, mean: float, sigma: float) -> None:
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ValueError(f"sigma must be > 0, got {sigma!r}")
+        if not (math.isfinite(mean) and mean >= 0.0):
+            raise ValueError(f"mean must be >= 0, got {mean!r}")
+        self.mean = mean
+        self.sigma = sigma
 
     @property
     def truncated_mass(self) -> float:

@@ -11,10 +11,12 @@ for the counting statistics of coherent pulses on non-interfering paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
 
 from .fileio import json_float
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Sequence
 
 N_DETECTORS = 4
 SUBSETS_PER_ORDER = tuple(float(math.comb(N_DETECTORS, r)) for r in range(1, N_DETECTORS + 1))
@@ -36,7 +38,6 @@ def subset_product_means(values):
     return ((e1 + d) / n1, (e2 + e1 * d) / n2, (e3 + e2 * d) / n3, e3 * d / n4)
 
 
-@dataclass(frozen=True)
 class BeamSplitter:
     """One splitter, described by measured intensity fractions.
 
@@ -44,22 +45,21 @@ class BeamSplitter:
     their sum may fall short of 1, the remainder being loss.
     """
 
-    transmittance: float
-    reflectance: float
+    __slots__ = ("transmittance", "reflectance")
 
-    def __post_init__(self) -> None:
-        for name in ("transmittance", "reflectance"):
-            value = getattr(self, name)
+    def __init__(self, transmittance: float, reflectance: float) -> None:
+        for name, value in (("transmittance", transmittance), ("reflectance", reflectance)):
             if not (math.isfinite(value) and 0.0 <= value):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.transmittance + self.reflectance > 1.0 + _SUM_TOL:
+        if transmittance + reflectance > 1.0 + _SUM_TOL:
             raise ValueError(
                 f"transmittance + reflectance = "
-                f"{self.transmittance + self.reflectance!r} exceeds 1"
+                f"{transmittance + reflectance!r} exceeds 1"
             )
+        self.transmittance = transmittance
+        self.reflectance = reflectance
 
 
-@dataclass(frozen=True)
 class DetectionTree:
     """Three-splitter tree feeding four detectors.
 
@@ -69,16 +69,19 @@ class DetectionTree:
     detector indices through ``detector_order`` (a permutation of 1..4).
     """
 
-    root: BeamSplitter
-    transmitted: BeamSplitter
-    reflected: BeamSplitter
-    detector_order: tuple[int, int, int, int] = (1, 2, 3, 4)
+    __slots__ = ("root", "transmitted", "reflected", "detector_order")
 
-    def __post_init__(self) -> None:
-        if sorted(self.detector_order) != [1, 2, 3, 4]:
+    def __init__(
+        self, root: BeamSplitter, transmitted: BeamSplitter, reflected: BeamSplitter, detector_order=(1, 2, 3, 4)
+    ) -> None:
+        if sorted(detector_order) != [1, 2, 3, 4]:
             raise ValueError(
-                f"detector_order must be a permutation of 1..4, got {self.detector_order!r}"
+                f"detector_order must be a permutation of 1..4, got {detector_order!r}"
             )
+        self.root = root
+        self.transmitted = transmitted
+        self.reflected = reflected
+        self.detector_order = detector_order
 
 
 def branching_efficiencies(tree: DetectionTree) -> tuple[float, float, float, float]:
@@ -120,33 +123,31 @@ def _coupling_vector(eta_c) -> tuple[float, float, float, float]:
     return vec
 
 
-@dataclass(frozen=True)
 class EfficiencySet:
     """Per-detector efficiencies decomposed into branching x coupling x detector.
 
     ``eta_c`` may be a single scalar applied to every arm or a 4-vector for
     asymmetric coupling.  The overall efficiency per detector,
     ``eta`` = eta_b,i * eta_c,i * eta_d, is derived once from the factors when
-    the frozen set is built, so it cannot drift out of sync with them.
+    the set is built.
     """
 
-    eta_b: tuple[float, float, float, float]
-    eta_c: float | tuple[float, float, float, float] = 1.0
-    eta_d: float = 1.0
-    eta: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+    __slots__ = ("eta_b", "eta_c", "eta_d", "eta")
 
-    def __post_init__(self) -> None:
-        if len(self.eta_b) != N_DETECTORS:
-            raise ValueError(f"expected {N_DETECTORS} efficiencies, got {len(self.eta_b)}")
-        object.__setattr__(self, "eta_b", tuple(float(x) for x in self.eta_b))
-        for x in self.eta_b:
+    def __init__(self, eta_b: Sequence[float], eta_c: float | Sequence[float] = 1.0, eta_d: float = 1.0) -> None:
+        if len(eta_b) != N_DETECTORS:
+            raise ValueError(f"expected {N_DETECTORS} efficiencies, got {len(eta_b)}")
+        eta_b = tuple(float(x) for x in eta_b)
+        for x in eta_b:
             if not (math.isfinite(x) and 0.0 <= x <= 1.0):
                 raise ValueError(f"branching efficiency out of [0, 1]: {x!r}")
-        coupling = _coupling_vector(self.eta_c)
-        if not (math.isfinite(self.eta_d) and 0.0 <= self.eta_d <= 1.0):
-            raise ValueError(f"detector efficiency out of [0, 1]: {self.eta_d!r}")
-        eta = tuple(b * c * self.eta_d for b, c in zip(self.eta_b, coupling))
-        object.__setattr__(self, "eta", validate_efficiencies(eta))
+        coupling = _coupling_vector(eta_c)
+        if not (math.isfinite(eta_d) and 0.0 <= eta_d <= 1.0):
+            raise ValueError(f"detector efficiency out of [0, 1]: {eta_d!r}")
+        self.eta_b = eta_b
+        self.eta_c = eta_c
+        self.eta_d = eta_d
+        self.eta = validate_efficiencies(tuple(b * c * eta_d for b, c in zip(eta_b, coupling)))
 
     @property
     def eta_bar(self) -> float:

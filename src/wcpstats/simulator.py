@@ -20,9 +20,6 @@ prefix of :func:`simulate_patterns` unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-
 import numpy as np
 
 from .coincidence import N_PATTERNS, TIMESTAMP_DTYPE, PatternHistogram
@@ -31,6 +28,10 @@ from .config import DEFAULT_REP_RATE_HZ, FluctuationModel, SourceModel
 from .fileio import read_int_csv, write_int_csv
 from .optics import N_DETECTORS, EfficiencySet
 from .stats import _check_seed, normal_cdf
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
 
 # Sub-stream tags keeping per-pulse and per-cycle draws independent.
 _PULSE_STREAM = 0
@@ -43,7 +44,6 @@ _PATTERN_BITS = (np.arange(N_PATTERNS)[:, None] >> np.arange(N_DETECTORS) & 1).a
 CHUNK_SIZE = 1 << 16
 
 
-@dataclass(frozen=True)
 class SimConfig:
     """Run parameters for pulse generation.
 
@@ -52,21 +52,27 @@ class SimConfig:
     drawn every ``cycle_pulses`` pulses (default: one second worth of pulses).
     """
 
-    n_pulses: int
-    seed: int
-    efficiency_set: EfficiencySet
-    rep_period_ps: int = round(1e12 / DEFAULT_REP_RATE_HZ)
-    emit_timestamps: bool = False
-    cycle_pulses: int | None = None
+    __slots__ = ("n_pulses", "seed", "efficiency_set", "rep_period_ps", "emit_timestamps", "cycle_pulses")
 
-    def __post_init__(self) -> None:
-        if self.n_pulses <= 0:
-            raise ValueError(f"n_pulses must be > 0, got {self.n_pulses}")
-        _check_seed(self.seed)
-        if self.rep_period_ps <= 0:
-            raise ValueError(f"rep_period_ps must be > 0, got {self.rep_period_ps}")
-        if self.cycle_pulses is not None and self.cycle_pulses <= 0:
-            raise ValueError(f"cycle_pulses must be > 0, got {self.cycle_pulses}")
+    def __init__(
+        self, n_pulses: int, seed: int, efficiency_set: EfficiencySet,
+        rep_period_ps: int = round(1e12 / DEFAULT_REP_RATE_HZ),
+        emit_timestamps: bool = False, cycle_pulses: int | None = None,
+    ) -> None:
+        # numpy's samplers take a pulse count as an int64.
+        if not 0 < n_pulses < 2**63:
+            raise ValueError(f"n_pulses must be in 1..2**63 - 1, got {n_pulses}")
+        _check_seed(seed)
+        if rep_period_ps <= 0:
+            raise ValueError(f"rep_period_ps must be > 0, got {rep_period_ps}")
+        if cycle_pulses is not None and cycle_pulses <= 0:
+            raise ValueError(f"cycle_pulses must be > 0, got {cycle_pulses}")
+        self.n_pulses = n_pulses
+        self.seed = seed
+        self.efficiency_set = efficiency_set
+        self.rep_period_ps = rep_period_ps
+        self.emit_timestamps = emit_timestamps
+        self.cycle_pulses = cycle_pulses
 
     @property
     def cycle_length(self) -> int:

@@ -74,6 +74,34 @@ def test_commands_without_arrays_load_no_numpy(tmp_path, argv):
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["estimate", "--summary", "{summary}", "--config", "{config}", "--out", "{out}"],
+        ["bounds", "--summary", "{summary}", "--out", "{out}"],
+        ["coincidence", "--histogram", "{histogram}", "--out", "{out}"],
+        ["leakage", "--mu", "0.5", "--source", "A=0.05,0.0025", "--source", "B=0.0525,0.0025"],
+    ],
+    ids=["import", "estimate-config", "bounds", "coincidence-histogram", "leakage"],
+)
+def test_commands_without_arrays_load_no_dataclasses_or_typing(tmp_path, argv):
+    # dataclasses imports inspect, ast, dis and tokenize, and each record it builds execs its methods.
+    # -S keeps site hooks from loading typing first, so every module found here is one wcpstats loaded.
+    summary, histogram, config = tmp_path / "summary.json", tmp_path / "histogram.json", tmp_path / "config.json"
+    summary.write_text(json.dumps(model_summary(0.5, RunConfig.from_dict({}).efficiency_set.eta, 10**6).to_dict()))
+    histogram.write_text(json.dumps({"total_pulses": 10, "counts": [9, 1] + [0] * 14}))
+    config.write_text("{}")
+    argv = [a.format(out=tmp_path / "out.json", summary=summary, histogram=histogram, config=config) for a in argv]
+    code = "import sys; from wcpstats.cli import main;"
+    code += f"assert main({argv!r}) == 0;" if argv else ""
+    code += "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": str(Path(wcpstats.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 def fresh_python(code: str, **env: str | None) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter on this wcpstats; an ``env`` value of None removes that variable."""
     child_env = {**os.environ, "PYTHONPATH": str(Path(wcpstats.__file__).parents[1])}
@@ -368,6 +396,17 @@ def test_bounds_with_efficiency_products_below_normal_floats_exit_one(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "s_4" in err
     assert not out.exists()
+
+
+def test_bounds_warns_when_no_four_fold_coincidence_was_observed(tmp_path, capsys):
+    # Each lower bound differs from its upper one only in its c_4 term, so c_4 = 0 leaves zero-width intervals.
+    eta = RunConfig.from_dict({}).efficiency_set.eta
+    path, out = tmp_path / "summary.json", tmp_path / "bounds.json"
+    for summary, warned in ((SUMMARY, True), (model_summary(0.5, eta, 10**6).to_dict(), False)):
+        path.write_text(json.dumps(summary))
+        assert run(["bounds", "--summary", path, "--out", out]) == 0
+        assert ("warning: no four-fold coincidence was observed" in capsys.readouterr().err) == warned
+        assert out.exists()
 
 
 def test_estimate_with_efficiency_file(tmp_path):
@@ -893,6 +932,13 @@ SUMMARY_ARGV = ["bounds", "--summary", "{path}", "--out", "{out}"]
         ({"geometry": {"root": [0.5, 0.4], "transmitted": [0.5, 0.4], "reflected": [0.5, 0.4], "detector_order": 3}},
          SIMULATE_CONFIG_ARGV, "run config: detector_order must be a list, got 3"),
         ({"sources": []}, SIMULATE_CONFIG_ARGV, "run config: sources must be an object, got []"),
+        ({"geometry": {"root": [0.5], "transmitted": [0.5, 0.4], "reflected": [0.5, 0.4]}}, BOUNDS_CONFIG_ARGV,
+         "run config: geometry root must hold 2 ratios, got [0.5]"),
+        ({"geometry": {"root": [0.5, 0.4], "transmitted": [0.5, 0.4, 0.1], "reflected": [0.5, 0.4]}},
+         BOUNDS_CONFIG_ARGV, "run config: geometry transmitted must hold 2 ratios, got [0.5, 0.4, 0.1]"),
+        ({"eta_d": 10**400}, BOUNDS_CONFIG_ARGV, "run config: eta_d must be a number within the float range"),
+        ({**SUMMARY, "subsets": {**SUMMARY["subsets"], "1": 10**400}}, SUMMARY_ARGV,
+         "coincidence summary: subset 1 must be a number within the float range"),
     ],
     ids=["list-histogram", "bool-histogram-total", "list-config", "scalar-source", "list-geometry", "fractional-pulses",
          "fractional-seed", "bool-pulses", "unknown-key", "unknown-source-key",
@@ -903,7 +949,8 @@ SUMMARY_ARGV = ["bounds", "--summary", "{path}", "--out", "{out}"]
          "letter-subset-key", "empty-field-subset-key", "subset-spelled-twice", "summary-without-orders",
          "summary-without-subset", "histogram-without-counts", "histogram-without-total", "source-without-mu",
          "geometry-without-root", "list-efficiency", "eta-with-geometry", "scalar-eta", "null-eta",
-         "scalar-splitter", "scalar-detector-order", "list-sources"],
+         "scalar-splitter", "scalar-detector-order", "list-sources", "one-ratio-splitter", "three-ratio-splitter",
+         "eta_d-beyond-float", "subset-prob-beyond-float"],
 )
 def test_malformed_json_shape_exits_one(tmp_path, capsys, payload, argv, message):
     path = tmp_path / "input.json"
@@ -996,9 +1043,16 @@ def test_repeated_label_or_mu_exits_one(tmp_path, capsys, argv, repeat):
         (["fluct", "--mu-list", "0.2,0.4", "--pulses-per-cycle", "0"],
          "argument --pulses-per-cycle: must be > 0, got 0"),
         (["sweep", "--pulses", "0", "--out", "{out}"], "argument --pulses: must be > 0, got 0"),
+        (["simulate", "--pulses", str(10**30), "--out-histogram", "{out}"], "argument --pulses: must be below 2**63"),
+        (["coincidence", "--timestamps", "{csv}", "--pulses", str(2**63), "--out", "{out}"],
+         "argument --pulses: must be below 2**63"),
+        (["fluct", "--mu-list", "0.2,0.4", "--cycles", "3", "--pulses-per-cycle", str(10**30)],
+         "argument --pulses-per-cycle: must be below 2**63"),
+        (["sweep", "--steps", "2", "--pulses", str(10**30), "--out", "{out}"], "argument --pulses: must be below 2**63"),
     ],
     ids=["estimate", "fluct", "sweep", "simulate-pulses", "coincidence-pulses", "fluct-pulses-per-cycle",
-         "sweep-pulses"],
+         "sweep-pulses", "simulate-pulses-past-int64", "coincidence-pulses-past-int64",
+         "fluct-pulses-per-cycle-past-int64", "sweep-pulses-past-int64"],
 )
 def test_detector_outside_one_to_four_is_usage_error(tmp_path, capsys, argv, message):
     # A count flag <= 0 is a usage error too, named as typed like --detector.
@@ -1015,8 +1069,11 @@ def test_detector_outside_one_to_four_is_usage_error(tmp_path, capsys, argv, mes
 
 @pytest.mark.parametrize(
     "config, message",
-    [(None, "No such file"), ('{"pulses": 5,}', "malformed JSON: "), ('{"bogus": 1}', "malformed run config: ")],
-    ids=["missing", "syntax-error", "unknown-key"],
+    [
+        (None, "No such file"), ('{"pulses": 5,}', "malformed JSON: "), ('{"bogus": 1}', "malformed run config: "),
+        ('{"pulses": 1e30}', "pulses must be in 1..2**63 - 1"),
+    ],
+    ids=["missing", "syntax-error", "unknown-key", "pulses-past-int64"],
 )
 def test_coincidence_histogram_reads_its_config(tmp_path, capsys, config, message):
     hist_path, config_path, out = tmp_path / "hist.json", tmp_path / "run.json", tmp_path / "summary.json"

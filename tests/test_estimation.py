@@ -61,6 +61,11 @@ def test_single_detector_rejects_degenerate_inputs():
         estimate_mu_single(-1.0, 1.25e6, 0.13)
 
 
+def test_single_detector_refuses_a_quotient_that_overflows():
+    with pytest.raises(ValueError, match="overflows"):
+        estimate_mu_single(1e300, 1e-10, 0.5)
+
+
 def test_single_detector_underestimates_saturated_rate():
     # Noise-free click rates saturate, so the linear rule reads low.
     for mu in (0.1, 0.5, 1.0, 2.0):

@@ -253,3 +253,10 @@ def test_sim_config_validation():
         SimConfig(n_pulses=0, seed=1, efficiency_set=UNIFORM)
     with pytest.raises(ValueError):
         SimConfig(n_pulses=10, seed=-1, efficiency_set=UNIFORM)
+
+
+def test_sim_config_refuses_pulse_counts_past_int64():
+    # numpy's samplers take a pulse count as an int64.
+    assert SimConfig(n_pulses=2**63 - 1, seed=1, efficiency_set=UNIFORM).n_pulses == 2**63 - 1
+    with pytest.raises(ValueError, match="n_pulses"):
+        SimConfig(n_pulses=2**63, seed=1, efficiency_set=UNIFORM)

@@ -201,8 +201,5 @@ def photon_number_bounds(summary: CoincidenceSummary, eta: Sequence[float]) -> P
     return evaluate_bounds(normalized_coincidences(summary, factors), factors)
 
 
-def write_bounds_json(path: str | Path, bounds: PhotonNumberBounds, meta: dict | None = None) -> None:
-    payload: dict = {"entries": bounds.to_report_entries()}
-    if meta is not None:
-        payload["meta"] = meta
-    write_json_atomic(path, payload)
+def write_bounds_json(path: str | Path, bounds: PhotonNumberBounds, meta: dict) -> None:
+    write_json_atomic(path, {"entries": bounds.to_report_entries(), "meta": meta})

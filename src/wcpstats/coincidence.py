@@ -24,6 +24,7 @@ from itertools import combinations
 
 from .fileio import json_float, json_int, json_keys, read_int_csv, read_json, write_int_csv, write_json_atomic
 from .optics import N_DETECTORS, SUBSETS_PER_ORDER, subset_product_means, validate_efficiencies
+from .stats import _check_count
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -39,6 +40,8 @@ ORDERS = (1, 2, 3, 4)
 # click, sorted by time.  A plain spec, so that importing this module loads no numpy.
 TIMESTAMP_DTYPE = [("channel", "u1"), ("time_ps", "i8")]
 _TIMESTAMP_HEADER = tuple(name for name, _ in TIMESTAMP_DTYPE)
+# _PATTERN_BITS[p][i] is True when pattern p has detector i + 1 clicking.
+_PATTERN_BITS = tuple(tuple(p >> i & 1 == 1 for i in range(N_DETECTORS)) for p in range(N_PATTERNS))
 
 _CONSISTENCY_TOL = 1e-12
 
@@ -237,10 +240,26 @@ def patterns_from_timestamps(
     kept = period[keep]
     starts = np.flatnonzero(np.diff(kept, prepend=kept[:1] - 1))
     patterns = np.bitwise_or.reduceat(1 << (channels[keep] - 1), starts)
-    counts = [int(c) for c in np.bincount(patterns, minlength=N_PATTERNS)]
-    counts[0] += n_pulses - len(starts)
-    histogram = PatternHistogram(counts=tuple(counts), total_pulses=n_pulses)
-    return BinningResult(histogram=histogram, discarded=discarded)
+    return BinningResult(histogram=histogram_of_clicks(patterns, n_pulses), discarded=discarded)
+
+
+def histogram_of_clicks(patterns: np.ndarray, n_pulses: int) -> PatternHistogram:
+    """Histogram of ``n_pulses`` periods, of which those in ``patterns`` click; the rest are silent."""
+    import numpy as np
+
+    counts = np.bincount(patterns, minlength=N_PATTERNS).tolist()
+    counts[0] += n_pulses - len(patterns)
+    return PatternHistogram(counts=counts, total_pulses=n_pulses)
+
+
+def timestamps_from_clicks(pulses: np.ndarray, patterns: np.ndarray, rep_period_ps: int) -> np.ndarray:
+    """Record stream of the ascending clicking pulses: one record per click, at pulse * period + period // 8."""
+    import numpy as np
+
+    # Row-major click indices: clicking pulse = click // 4, detector = click % 4, sorted by pulse.
+    clicks = np.flatnonzero(np.array(_PATTERN_BITS).take(patterns, axis=0))
+    times = pulses[clicks >> 2] * rep_period_ps + rep_period_ps // 8
+    return np.rec.fromarrays([(clicks & 3) + 1, times], dtype=TIMESTAMP_DTYPE)
 
 
 def conditional_coincidence(n: int, r: int, eta: Sequence[float]) -> float:
@@ -251,13 +270,12 @@ def conditional_coincidence(n: int, r: int, eta: Sequence[float]) -> float:
     added, so small probabilities keep their relative precision.
     """
     eta = validate_efficiencies(eta)
-    if n < 0 or int(n) != n:
-        raise ValueError(f"photon count must be a non-negative integer, got {n!r}")
+    n = _check_count(n)
     if r not in ORDERS:
         raise ValueError(f"coincidence order must be in 1..4, got {r}")
     lost = 1.0 - math.fsum(eta)
     weights = [1.0] + [0.0] * (N_PATTERNS - 1)
-    for _ in range(int(n)):
+    for _ in range(n):
         routed = [lost * w for w in weights]
         for i, e in enumerate(eta):
             for m, w in enumerate(weights):
@@ -297,9 +315,7 @@ def pattern_probabilities(mu, eta: Sequence[float], dark_rate: float = 0.0):
     import numpy as np
 
     clicks = np.moveaxis(click_probabilities(mu, eta, dark_rate), 0, -1)[..., None, :]
-    # bits[p, i] is set when pattern p has detector i + 1 clicking.
-    bits = (np.arange(N_PATTERNS)[:, None] >> np.arange(N_DETECTORS)) & 1
-    return np.where(bits.astype(bool), clicks, 1.0 - clicks).prod(axis=-1)
+    return np.where(_PATTERN_BITS, clicks, 1.0 - clicks).prod(axis=-1)
 
 
 def poisson_coincidence_model(mu: float, eta: Sequence[float]) -> tuple[float, float, float, float]:
@@ -352,11 +368,8 @@ def read_timestamps_csv(path: str | Path) -> np.ndarray:
     return np.rec.fromarrays(table.T, dtype=TIMESTAMP_DTYPE)
 
 
-def write_histogram_json(path: str | Path, hist: PatternHistogram, meta: dict | None = None) -> None:
-    payload = hist.to_dict()
-    if meta is not None:
-        payload["meta"] = meta
-    write_json_atomic(path, payload)
+def write_histogram_json(path: str | Path, hist: PatternHistogram, meta: dict) -> None:
+    write_json_atomic(path, {**hist.to_dict(), "meta": meta})
 
 
 def read_histogram_json(path: str | Path) -> PatternHistogram:

@@ -64,6 +64,11 @@ class SourceModel:
         self.mu = mu
         self.fluctuation = FluctuationModel() if fluctuation is None else fluctuation
         self.dark_rate = dark_rate
+        if not math.isfinite(self.fluctuation.sigma(mu)):
+            raise ValueError(
+                f"fluctuation sigma = fluct_a * mu + fluct_b overflows for fluct_a={self.fluctuation.slope!r}, "
+                f"fluct_b={self.fluctuation.intercept!r}, mu={mu!r}"
+            )
 
 
 def default_tree() -> DetectionTree:
@@ -124,35 +129,32 @@ def _source_from_dict(label: str, entry: dict) -> SourceModel:
 
 
 class RunConfig:
-    """Validated bundle of efficiencies, trigger rate and source models.
+    """Validated bundle of efficiencies, trigger period and source models.
 
     Construction runs every module-level validator, so a bad configuration
     fails before any simulation or analysis starts.  The efficiencies are
     built once, into the one :class:`EfficiencySet` every command reads.
     """
 
-    __slots__ = ("efficiency_set", "rep_rate_hz", "sources", "pulses", "seed")
+    __slots__ = ("efficiency_set", "rep_period_ps", "sources", "pulses", "seed")
 
     def __init__(
         self, efficiency_set: EfficiencySet | None = None, rep_rate_hz: float = DEFAULT_REP_RATE_HZ,
         sources: dict[str, SourceModel] | None = None, pulses: int = 1_000_000, seed: int = 1,
     ) -> None:
         self.efficiency_set = default_efficiency_set() if efficiency_set is None else efficiency_set
-        self.rep_rate_hz = rep_rate_hz
         self.sources = {} if sources is None else sources
         self.pulses = pulses
         self.seed = seed
-        if not (rep_rate_hz > 0 and math.isfinite(1e12 / rep_rate_hz) and self.rep_period_ps >= 1):
+        period = 1e12 / rep_rate_hz if rep_rate_hz > 0 else math.inf
+        if not (math.isfinite(period) and round(period) >= 1):
             raise ValueError(
                 f"rep_rate_hz must be > 0 with a finite trigger period of at least 1 ps, got {rep_rate_hz!r}"
             )
+        self.rep_period_ps = round(period)
         # numpy's samplers take a pulse count as an int64.
         if not 0 < pulses < 2**63:
             raise ValueError(f"pulses must be in 1..2**63 - 1, got {pulses}")
-
-    @property
-    def rep_period_ps(self) -> int:
-        return round(1e12 / self.rep_rate_hz)
 
     def source(self, label: str) -> SourceModel:
         if label in self.sources:

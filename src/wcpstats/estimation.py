@@ -16,7 +16,7 @@ from collections import namedtuple
 from .coincidence import ORDERS, CoincidenceSummary, observed_coincidences, poisson_coincidence_model
 from .fileio import write_text_atomic
 from .optics import N_DETECTORS, SUBSETS_PER_ORDER, EfficiencySet, subset_product_means, validate_efficiencies
-from .stats import ConvergenceError, InsufficientDataError, _check_seed, chi_square_quantile
+from .stats import ConvergenceError, InsufficientDataError, _check_mu, _check_seed, chi_square_quantile
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -62,7 +62,10 @@ def estimate_mu_single(
         raise ValueError(f"rep_rate must be > 0, got {rep_rate!r}")
     if not (math.isfinite(eta_overall) and 0.0 < eta_overall <= 1.0):
         raise ValueError(f"eta_overall must be in (0, 1], got {eta_overall!r}")
-    mu = counts_per_second / (rep_rate * eta_overall)
+    rate = rep_rate * eta_overall
+    if rate == 0.0:
+        raise ValueError(f"rep_rate * eta_overall = {rep_rate!r} * {eta_overall!r} underflows to 0")
+    mu = counts_per_second / rate
     if not math.isfinite(mu):
         raise ValueError(f"mu estimate {counts_per_second!r} / ({rep_rate!r} * {eta_overall!r}) overflows")
     return MuEstimate(mu_hat=mu)
@@ -213,9 +216,7 @@ def poissonity_test(
     one degree of freedom is charged for the fitted mu.  Passes when the
     statistic stays below the chi-square distribution's 99th percentile.
     """
-    if not (math.isfinite(mu_hat) and mu_hat >= 0.0):
-        raise ValueError(f"mean photon number must be finite and >= 0, got {mu_hat!r}")
-    model = poisson_coincidence_model(mu_hat, validate_efficiencies(eta))
+    model = poisson_coincidence_model(_check_mu(mu_hat), validate_efficiencies(eta))
     n = summary.total_pulses
     used = []
     terms = []

@@ -56,7 +56,7 @@ def leakage_difference(mu_rigorous: float, mu_single: float) -> float:
     Positive when the single-detector method underestimates mu, because
     the leakage is monotone increasing in mu.
     """
-    return info_leakage(_check_mu(mu_rigorous)) - info_leakage(_check_mu(mu_single))
+    return info_leakage(mu_rigorous) - info_leakage(mu_single)
 
 
 FitPoint = namedtuple("FitPoint", "mu sigma residual")
@@ -80,8 +80,8 @@ def fit_fluctuation(series_per_mu: Mapping[float, Sequence[float]]) -> Fluctuati
 
     The sample standard deviation of each series is regressed on mu by
     closed-form least squares; the per-point residuals are the deviations
-    from the fitted line.  Needs at least two distinct mu values, each with
-    a series of length >= 2; with exactly two the line leaves no residual
+    from the fitted line.  Needs at least two distinct mu values, finite and
+    >= 0, each with a series of length >= 2; with exactly two the line leaves no residual
     freedom, and the standard errors are None.
     """
     if len(series_per_mu) < 2:
@@ -89,11 +89,11 @@ def fit_fluctuation(series_per_mu: Mapping[float, Sequence[float]]) -> Fluctuati
     mus = []
     sigmas = []
     for mu in sorted(series_per_mu):
+        mus.append(_check_mu(mu))
         series = [float(value) for value in series_per_mu[mu]]
         if len(series) < 2:
             raise ValueError(f"series for mu={mu} has fewer than 2 entries")
         mean = math.fsum(series) / len(series)
-        mus.append(float(mu))
         sigmas.append(math.sqrt(math.fsum((v - mean) ** 2 for v in series) / (len(series) - 1)))
     n = len(mus)
     mu_bar, sigma_bar = math.fsum(mus) / n, math.fsum(sigmas) / n

@@ -129,10 +129,10 @@ class EfficiencySet:
     ``eta_c`` may be a single scalar applied to every arm or a 4-vector for
     asymmetric coupling.  The overall efficiency per detector,
     ``eta`` = eta_b,i * eta_c,i * eta_d, is derived once from the factors when
-    the set is built.
+    the set is built; of the factors only ``eta_b`` is kept.
     """
 
-    __slots__ = ("eta_b", "eta_c", "eta_d", "eta")
+    __slots__ = ("eta_b", "eta")
 
     def __init__(self, eta_b: Sequence[float], eta_c: float | Sequence[float] = 1.0, eta_d: float = 1.0) -> None:
         if len(eta_b) != N_DETECTORS:
@@ -145,8 +145,6 @@ class EfficiencySet:
         if not (math.isfinite(eta_d) and 0.0 <= eta_d <= 1.0):
             raise ValueError(f"detector efficiency out of [0, 1]: {eta_d!r}")
         self.eta_b = eta_b
-        self.eta_c = eta_c
-        self.eta_d = eta_d
         self.eta = validate_efficiencies(tuple(b * c * eta_d for b, c in zip(eta_b, coupling)))
 
     @property

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coincidence import N_PATTERNS, TIMESTAMP_DTYPE, PatternHistogram
-from .coincidence import click_probabilities, pattern_probabilities
+from .coincidence import PatternHistogram, click_probabilities, histogram_of_clicks, pattern_probabilities
+from .coincidence import timestamps_from_clicks
 from .config import DEFAULT_REP_RATE_HZ, FluctuationModel, SourceModel
 from .fileio import read_int_csv, write_int_csv
-from .optics import N_DETECTORS, EfficiencySet
+from .optics import EfficiencySet
 from .stats import _check_seed, normal_cdf
 
 TYPE_CHECKING = False
@@ -37,9 +37,6 @@ if TYPE_CHECKING:
 _PULSE_STREAM = 0
 _CYCLE_STREAM = 1
 
-# _PATTERN_BITS[p, i] is set when pattern p has detector i + 1 clicking.
-_PATTERN_BITS = (np.arange(N_PATTERNS)[:, None] >> np.arange(N_DETECTORS) & 1).astype(bool)
-
 # Pulses per chunk, the unit of the per-pulse random streams.
 CHUNK_SIZE = 1 << 16
 
@@ -49,7 +46,7 @@ class SimConfig:
 
     ``rep_period_ps`` defaults to the period of ``DEFAULT_REP_RATE_HZ``.
     When the source carries intensity fluctuations, a fresh intensity is
-    drawn every ``cycle_pulses`` pulses (default: one second worth of pulses).
+    drawn every ``cycle_pulses`` pulses (default, resolved when built: one second of pulses).
     """
 
     __slots__ = ("n_pulses", "seed", "efficiency_set", "rep_period_ps", "emit_timestamps", "cycle_pulses")
@@ -65,7 +62,9 @@ class SimConfig:
         _check_seed(seed)
         if rep_period_ps <= 0:
             raise ValueError(f"rep_period_ps must be > 0, got {rep_period_ps}")
-        if cycle_pulses is not None and cycle_pulses <= 0:
+        if cycle_pulses is None:
+            cycle_pulses = max(1, round(1e12 / rep_period_ps))
+        elif cycle_pulses <= 0:
             raise ValueError(f"cycle_pulses must be > 0, got {cycle_pulses}")
         self.n_pulses = n_pulses
         self.seed = seed
@@ -73,13 +72,6 @@ class SimConfig:
         self.rep_period_ps = rep_period_ps
         self.emit_timestamps = emit_timestamps
         self.cycle_pulses = cycle_pulses
-
-    @property
-    def cycle_length(self) -> int:
-        """Pulses per fluctuation cycle (defaults to one second of pulses)."""
-        if self.cycle_pulses is not None:
-            return self.cycle_pulses
-        return max(1, round(1e12 / self.rep_period_ps))
 
 
 def _check_truncation(mean: float, sigma: float) -> None:
@@ -112,7 +104,7 @@ def _stretches(source: SourceModel, cfg: SimConfig):
 
     Stretch j holds pulses edges[j]..edges[j + 1] - 1: fluctuation cycle j, or the whole run (cycle 0) if steady.
     """
-    length = cfg.cycle_length if source.fluctuation.sigma(source.mu) else cfg.n_pulses
+    length = cfg.cycle_pulses if source.fluctuation.sigma(source.mu) else cfg.n_pulses
     edges = np.append(np.arange(0, cfg.n_pulses, length), cfg.n_pulses)
     return (*_cycle_draws(source, cfg.seed, range(len(edges) - 1)), edges)
 
@@ -182,14 +174,7 @@ def simulate_timestamps(source: SourceModel, cfg: SimConfig) -> tuple[np.ndarray
     if cfg.n_pulses * cfg.rep_period_ps >= 2**63:
         raise ValueError(f"{cfg.n_pulses} pulses of {cfg.rep_period_ps} ps overrun int64 time_ps")
     pulses, patterns = _clicking_pulses(source, cfg)
-    # Row-major click indices: clicking pulse = click // 4, detector = click % 4, sorted by pulse.
-    clicks = np.flatnonzero(_PATTERN_BITS.take(patterns, axis=0))
-    times = pulses[clicks >> 2] * cfg.rep_period_ps + cfg.rep_period_ps // 8
-    records = np.rec.fromarrays([(clicks & 3) + 1, times], dtype=TIMESTAMP_DTYPE)
-    counts = np.bincount(patterns, minlength=N_PATTERNS)
-    counts[0] = cfg.n_pulses - len(patterns)
-    histogram = PatternHistogram(counts=tuple(int(c) for c in counts), total_pulses=cfg.n_pulses)
-    return records, histogram
+    return timestamps_from_clicks(pulses, patterns, cfg.rep_period_ps), histogram_of_clicks(patterns, cfg.n_pulses)
 
 
 def simulate_count_series(

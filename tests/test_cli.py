@@ -701,25 +701,43 @@ def test_unknown_flag_exits_with_usage_error():
         assert exc.value.code == 2
 
 
+FLUCT_SERIES_ARGV = ["--series", "0.4={series}", "--pulses-per-cycle", "1000", "--out", "{out}"]
+SIGMA_OVERFLOWS = "error: fluctuation sigma = fluct_a * mu + fluct_b overflows for fluct_a=1e+308, fluct_b=0.0, mu=10.0"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["simulate", "--mu", "-1", "--pulses", "100", "--seed", "1", "--out-histogram", "{out}"],
-        ["coincidence", "--timestamps", "{csv}", "--pulses", "10",
-         "--offset-ps", "100000000000000000000", "--out", "{out}"],
-        ["coincidence", "--timestamps", "{csv}", "--pulses", "10",
-         "--config", "{config}", "--out", "{out}"],
+        (["simulate", "--mu", "-1", "--pulses", "100", "--seed", "1", "--out-histogram", "{out}"],
+         "error: mu must be > 0, got -1.0"),
+        (["coincidence", "--timestamps", "{csv}", "--pulses", "10",
+          "--offset-ps", "100000000000000000000", "--out", "{out}"], "error: offset_ps must fit in int64"),
+        (["coincidence", "--timestamps", "{csv}", "--pulses", "10",
+          "--config", "{config}", "--out", "{out}"], "error: rep_period_ps must be > 0 and fit in int64"),
+        (["fluct", "--series", "nan={series}", *FLUCT_SERIES_ARGV],
+         "error: mean photon number must be finite and >= 0, got nan"),
+        (["fluct", "--series", "inf={series}", *FLUCT_SERIES_ARGV],
+         "error: mean photon number must be finite and >= 0, got inf"),
+        (["fluct", "--series=-1={series}", *FLUCT_SERIES_ARGV],
+         "error: mean photon number must be finite and >= 0, got -1.0"),
+        (["simulate", "--mu", "10", "--fluct-a", "1e308", "--pulses", "100", "--out-histogram", "{out}"],
+         SIGMA_OVERFLOWS),
+        (["fluct", "--mu-list", "10,20", "--fluct-a", "1e308", "--cycles", "3", "--pulses-per-cycle", "100",
+          "--out", "{out}"], SIGMA_OVERFLOWS),
     ],
-    ids=["negative-mu", "huge-offset", "huge-rep-period"],
+    ids=["negative-mu", "huge-offset", "huge-rep-period", "fluct-series-nan-mu", "fluct-series-inf-mu",
+         "fluct-series-negative-mu", "simulate-sigma-overflows", "fluct-sigma-overflows"],
 )
-def test_bad_values_exit_one(tmp_path, capsys, argv):
+def test_bad_values_exit_one(tmp_path, capsys, argv, message):
     path = tmp_path / "input.csv"
     path.write_text("channel,time_ps\n1,100\n2,300\n")
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"rep_rate_hz": 1e-8}))  # a period of 1e20 ps
+    series = tmp_path / "series.csv"
+    series.write_text("cycle_index,counts\n0,5\n1,7\n")
     out = tmp_path / "x.json"
-    assert run([a.format(csv=path, config=config, out=out) for a in argv]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert run([a.format(csv=path, config=config, series=series, out=out) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
 

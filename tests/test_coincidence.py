@@ -178,6 +178,12 @@ def test_one_photon_single_click_probability():
     )
 
 
+def test_conditional_coincidence_refuses_a_photon_count_that_is_not_an_integer():
+    for n in (True, 1.5, -1):
+        with pytest.raises(ValueError, match="photon count must be"):
+            conditional_coincidence(n, 1, TABLE_ETA)
+
+
 def test_one_photon_cannot_fire_two_detectors():
     for r in (2, 3, 4):
         assert abs(conditional_coincidence(1, r, TABLE_ETA)) <= 1e-12

@@ -59,6 +59,10 @@ def test_single_detector_rejects_degenerate_inputs():
         estimate_mu_single(100.0, 1.25e6, 0.0)
     with pytest.raises(ValueError):
         estimate_mu_single(-1.0, 1.25e6, 0.13)
+    # Two valid factors whose product underflows to 0.
+    for counts in (1.0, 0.0):
+        with pytest.raises(ValueError, match="rep_rate \\* eta_overall = 1e-200 \\* 1e-200 underflows"):
+            estimate_mu_single(counts, 1e-200, 1e-200)
 
 
 def test_single_detector_refuses_a_quotient_that_overflows():

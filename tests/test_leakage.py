@@ -171,6 +171,9 @@ def test_fit_validation():
         fit_fluctuation({0.5: [1, 2, 3]})
     with pytest.raises(ValueError):
         fit_fluctuation({0.5: [1.0], 0.6: [1, 2]})
+    for mu in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="mean photon number must be finite and >= 0"):
+            fit_fluctuation({mu: [1, 2, 3], 0.2: [1, 2, 4]})
 
 
 def test_distribution_truncated_mass_matches_normal_cdf():

@@ -255,6 +255,13 @@ def test_sim_config_validation():
         SimConfig(n_pulses=10, seed=-1, efficiency_set=UNIFORM)
 
 
+def test_sim_config_resolves_the_default_cycle_when_built():
+    # One second of pulses at the period's rate, and at least one pulse.
+    assert _cfg(10).cycle_pulses == 1_250_000
+    assert _cfg(10, rep_period_ps=3 * 10**12).cycle_pulses == 1
+    assert _cfg(10, cycle_pulses=7).cycle_pulses == 7
+
+
 def test_sim_config_refuses_pulse_counts_past_int64():
     # numpy's samplers take a pulse count as an int64.
     assert SimConfig(n_pulses=2**63 - 1, seed=1, efficiency_set=UNIFORM).n_pulses == 2**63 - 1
